@@ -15,7 +15,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from repro.kernel.frame import FramePool
+import numpy as np
+
+from repro.kernel.frame import COLORED_FREE, FramePool
 
 
 class ColorMatrix:
@@ -53,9 +55,46 @@ class ColorMatrix:
     def push_block(self, start_pfn: int, order: int) -> None:
         """Algorithm 2 (``create_color_list``): split a buddy block of
         ``2**order`` frames into single pages appended to their color lists.
+
+        Equivalent to :meth:`push` on each frame in ascending order (same
+        deque contents, same insertion order of every index), but grouped
+        by color in a few array operations.  Raises before changing
+        anything if a frame of the block is already on a color list.
         """
-        for pfn in range(start_pfn, start_pfn + (1 << order)):
-            self.push(pfn)
+        pool = self.pool
+        end = start_pfn + (1 << order)
+        on_list = np.flatnonzero(pool.state[start_pfn:end] == COLORED_FREE)
+        if on_list.size:
+            raise ValueError(
+                f"frame {start_pfn + int(on_list[0])} already on a color list"
+            )
+        pool.state[start_pfn:end] = COLORED_FREE
+        pool.owner[start_pfn:end] = -1
+        keys = (
+            pool.bank_color[start_pfn:end].astype(np.int32) * self.num_llc
+            + pool.llc_color[start_pfn:end]
+        )
+        # A stable sort keeps each color group's frames ascending; groups
+        # are then visited in order of their first frame, which is the
+        # order in which per-frame pushes would first touch each key.
+        by_key = np.argsort(keys, kind="stable")
+        sorted_keys = keys[by_key]
+        bounds = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        starts = np.concatenate(([0], bounds))
+        group_ends = np.append(bounds, len(keys)).tolist()
+        group_starts = starts.tolist()
+        group_keys = sorted_keys[starts].tolist()
+        pfns = (by_key + start_pfn).tolist()
+        for g in np.argsort(by_key[starts]).tolist():
+            mem, llc = divmod(group_keys[g], self.num_llc)
+            key = (mem, llc)
+            bucket = self._lists.get(key)
+            if bucket is None:
+                bucket = self._lists[key] = deque()
+            bucket.extend(pfns[group_starts[g]:group_ends[g]])
+            self._llc_of_mem.setdefault(mem, {})[llc] = None
+            self._mem_of_llc.setdefault(llc, {})[mem] = None
+        self.total_free += len(keys)
 
     # ------------------------------------------------------------------ pop
     def _pop_key(self, key: tuple[int, int]) -> int:

@@ -22,6 +22,13 @@ class FrameState(enum.IntEnum):
     ALLOCATED = 2  # handed out to a task
 
 
+# Plain-int copies for the per-frame hot paths: comparing against an
+# IntEnum member costs an enum attribute lookup on every call.
+BUDDY = FrameState.BUDDY.value
+COLORED_FREE = FrameState.COLORED_FREE.value
+ALLOCATED = FrameState.ALLOCATED.value
+
+
 class FramePool:
     """All physical frames of the machine with color and state tracking."""
 
@@ -78,19 +85,19 @@ class FramePool:
 
     # --- state transitions, each validating its precondition -----------------
     def mark_allocated(self, pfn: int, owner: int) -> None:
-        if self.state[pfn] == FrameState.ALLOCATED:
+        if self.state[pfn] == ALLOCATED:
             raise ValueError(f"frame {pfn} already allocated (double alloc)")
-        self.state[pfn] = FrameState.ALLOCATED
+        self.state[pfn] = ALLOCATED
         self.owner[pfn] = owner
 
     def mark_colored_free(self, pfn: int) -> None:
-        if self.state[pfn] == FrameState.COLORED_FREE:
+        if self.state[pfn] == COLORED_FREE:
             raise ValueError(f"frame {pfn} already on a color list")
-        self.state[pfn] = FrameState.COLORED_FREE
+        self.state[pfn] = COLORED_FREE
         self.owner[pfn] = -1
 
     def mark_buddy(self, pfn: int) -> None:
-        self.state[pfn] = FrameState.BUDDY
+        self.state[pfn] = BUDDY
         self.owner[pfn] = -1
 
     def counts(self) -> dict[str, int]:

@@ -186,6 +186,9 @@ class AddressMapping:
         # instance; a *different* mapping is a different object with its
         # own, initially empty cache.
         object.__setattr__(self, "_frame_decode_cache", {})
+        # Color-compatibility table and its per-bank-color rows, built on
+        # first use (see color_compat_table).
+        object.__setattr__(self, "_color_compat", None)
 
     # --- widths / counts ------------------------------------------------------
     def field_width(self, name: str) -> int:
@@ -331,37 +334,70 @@ class AddressMapping:
         return value
 
     # --- color compatibility ----------------------------------------------------
-    def _field_bit_value(self, name: str, value: int, position: int) -> int:
-        """Bit at physical ``position`` implied by field ``name`` = ``value``."""
-        return (value >> self.fields[name].index(position)) & 1
-
-    def colors_compatible(self, bank_color: int, llc_color: int) -> bool:
-        """Whether any frame carries both ``bank_color`` and ``llc_color``.
+    def color_compat_table(self) -> np.ndarray:
+        """Bool array ``[bank color, LLC color]``: whether any frame carries
+        both colors.
 
         When the bank field overlaps the LLC color bits (as on the Opteron,
         where bank bits 15/16 lie inside LLC color bits 12-16), the two
         colors must agree on the shared bits; pairs that disagree have no
         physical frames, leaving the 128 x 32 color matrix structurally
-        sparse.
+        sparse.  Built once per mapping from the shared bits alone (never
+        from the frame table) and memoised; read-only.
         """
-        node, channel, rank, bank = self.split_bank_color(bank_color)
-        values = {"node": node, "channel": channel, "rank": rank, "bank": bank}
+        return self._compat()[0]
+
+    def _compat(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+        """Memoised (compatibility table, compatible LLC colors per bank
+        color)."""
+        memo = self._color_compat
+        if memo is not None:
+            return memo
+        bank_colors = np.arange(self.num_bank_colors, dtype=np.int64)
+        llc_colors = np.arange(self.num_llc_colors, dtype=np.int64)
+        # Split bank colors into fields, as split_bank_color does.
+        values = {}
+        rest = bank_colors
+        for name, count in (("bank", self.num_banks), ("rank", self.num_ranks),
+                            ("channel", self.num_channels)):
+            values[name] = rest % count
+            rest = rest // count
+        values["node"] = rest
+        table = np.ones((bank_colors.size, llc_colors.size), dtype=bool)
         for i, p in enumerate(self.llc_color_positions):
             for name, positions in self.fields.items():
                 if p in positions:
-                    if self._field_bit_value(name, values[name], p) != (
-                        (llc_color >> i) & 1
-                    ):
-                        return False
-        return True
+                    field_bit = (values[name] >> positions.index(p)) & 1
+                    llc_bit = (llc_colors >> i) & 1
+                    table &= field_bit[:, None] == llc_bit[None, :]
+        table.flags.writeable = False
+        # Each row's compatible LLC colors: the row-major nonzero column
+        # indices, cut at the running row counts.
+        _, llcs = np.nonzero(table)
+        llcs = llcs.tolist()
+        ends = np.cumsum(table.sum(axis=1)).tolist()
+        rows = tuple(
+            tuple(llcs[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)
+        )
+        memo = (table, rows)
+        object.__setattr__(self, "_color_compat", memo)
+        return memo
+
+    def colors_compatible(self, bank_color: int, llc_color: int) -> bool:
+        """Whether any frame carries both ``bank_color`` and ``llc_color``
+        (see :meth:`color_compat_table`).  Only the LLC color's low
+        ``len(llc_color_positions)`` bits are significant."""
+        table = self._compat()[0]
+        if not 0 <= bank_color < len(table):
+            raise ValueError(f"bank color {bank_color} out of range")
+        return bool(table[bank_color, llc_color & (table.shape[1] - 1)])
 
     def compatible_llc_colors(self, bank_color: int) -> tuple[int, ...]:
         """All LLC colors with physical frames of ``bank_color``."""
-        return tuple(
-            lc
-            for lc in range(self.num_llc_colors)
-            if self.colors_compatible(bank_color, lc)
-        )
+        rows = self._compat()[1]
+        if not 0 <= bank_color < len(rows):
+            raise ValueError(f"bank color {bank_color} out of range")
+        return rows[bank_color]
 
     def compatible_bank_colors(
         self, llc_color: int, node: int | None = None
@@ -373,9 +409,11 @@ class AddressMapping:
             if node is not None
             else range(self.num_bank_colors)
         )
-        return tuple(
-            bc for bc in colors if self.colors_compatible(bc, llc_color)
-        )
+        table = self.color_compat_table()
+        if colors and not (0 <= colors.start and colors.stop <= len(table)):
+            raise ValueError(f"bank color {colors.start} out of range")
+        column = table[colors.start:colors.stop, llc_color & (table.shape[1] - 1)]
+        return tuple((np.flatnonzero(column) + colors.start).tolist())
 
     @property
     def shared_color_bits(self) -> int:

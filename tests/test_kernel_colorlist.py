@@ -1,12 +1,22 @@
 """Unit + property tests for the colored free-page matrix."""
 
+import copy
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernel.colorlist import ColorMatrix
 from repro.kernel.frame import FramePool, FrameState
-from repro.machine.presets import tiny_machine
+from repro.machine.presets import (
+    bigbank_4n,
+    disagg_2n,
+    modern_8ch,
+    opteron_6128_scaled,
+    tiny_machine,
+)
 
 
 @pytest.fixture
@@ -166,3 +176,131 @@ class TestPropertyBased:
                 break
             assert int(pool.bank_color[pfn]) == mem_color
         matrix.check_invariants()
+
+
+# ---------------------------------------------------------------- Algorithm 2
+PUSH_BLOCK_PRESETS = {
+    "opteron_6128_scaled": opteron_6128_scaled,
+    "modern_8ch": modern_8ch,
+    "bigbank_4n": bigbank_4n,
+    "disagg_2n": disagg_2n,
+    "tiny_machine": tiny_machine,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def preset_mapping(name):
+    return PUSH_BLOCK_PRESETS[name]().mapping
+
+
+def snapshot(matrix):
+    """Everything push/push_block may change, in comparable form (dict
+    insertion order included)."""
+    return (
+        [(key, list(bucket)) for key, bucket in matrix._lists.items()],
+        [(mem, list(llcs)) for mem, llcs in matrix._llc_of_mem.items()],
+        [(llc, list(mems)) for llc, mems in matrix._mem_of_llc.items()],
+        matrix.pool.state.tobytes(),
+        matrix.pool.owner.tobytes(),
+        matrix.total_free,
+    )
+
+
+def push_frames(matrix, start, order):
+    """The per-frame reference for ``push_block``."""
+    for pfn in range(start, start + (1 << order)):
+        matrix.push(pfn)
+
+
+def block_is_free(matrix, start, order):
+    state = matrix.pool.state[start:start + (1 << order)]
+    return not (state == FrameState.COLORED_FREE).any()
+
+
+def drain(matrix, count, by_llc):
+    """Pop up to ``count`` frames, rotating over every color of one axis
+    so that some buckets empty out and their keys leave the indexes."""
+    mapping = matrix.pool.mapping
+    for _ in range(count):
+        if by_llc:
+            pfn = matrix.pop_matching(None, list(range(mapping.num_llc_colors)))
+        else:
+            pfn = matrix.pop_matching(list(range(mapping.num_bank_colors)), None)
+        if pfn is None:
+            return
+
+
+class TestPushBlock:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_push_block_equals_per_frame_push(self, data):
+        mapping = preset_mapping(
+            data.draw(st.sampled_from(sorted(PUSH_BLOCK_PRESETS)))
+        )
+        reference = ColorMatrix(FramePool(mapping))
+
+        def draw_block():
+            order = data.draw(st.integers(0, 10))
+            # A few low blocks only, so history and target overlap often.
+            index = data.draw(
+                st.integers(0, min(7, (mapping.num_frames >> order) - 1))
+            )
+            return index << order, order
+
+        # History: per-frame pushes and pops, so that some (mem, llc) keys
+        # were removed and the target block re-adds them.
+        for _ in range(data.draw(st.integers(0, 3))):
+            start, order = draw_block()
+            if block_is_free(reference, start, order):
+                push_frames(reference, start, order)
+            drain(reference, data.draw(st.integers(0, 1 << order)),
+                  data.draw(st.booleans()))
+        reference.check_invariants()
+        fast = copy.deepcopy(reference)
+        start, order = draw_block()
+        if not block_is_free(reference, start, order):
+            before = snapshot(fast)
+            with pytest.raises(ValueError, match="already on a color list"):
+                fast.push_block(start, order)
+            assert snapshot(fast) == before
+            return
+        fast.push_block(start, order)
+        push_frames(reference, start, order)
+        assert snapshot(fast) == snapshot(reference)
+        fast.check_invariants()
+
+    @pytest.mark.parametrize("name", sorted(PUSH_BLOCK_PRESETS))
+    def test_drained_keys_are_re_added_in_per_frame_order(self, name):
+        mapping = preset_mapping(name)
+        reference = ColorMatrix(FramePool(mapping))
+        push_frames(reference, 0, 10)
+        drain(reference, 1 << 10, by_llc=False)
+        push_frames(reference, 1 << 10, 4)
+        drain(reference, 5, by_llc=True)
+        assert reference.total_free > 0
+        # Some keys were emptied; the block below files frames under them.
+        assert any(not bucket for bucket in reference._lists.values())
+        fast = copy.deepcopy(reference)
+        fast.push_block(0, 10)
+        push_frames(reference, 0, 10)
+        assert snapshot(fast) == snapshot(reference)
+        fast.check_invariants()
+
+    @pytest.mark.parametrize("name", sorted(PUSH_BLOCK_PRESETS))
+    def test_colored_frame_in_block_rejected_without_change(self, name):
+        matrix = ColorMatrix(FramePool(preset_mapping(name)))
+        matrix.push_block(0, 2)
+        matrix.push(37)
+        matrix.push(45)
+        before = snapshot(matrix)
+        with pytest.raises(ValueError, match="frame 37 already on a color list"):
+            matrix.push_block(32, 4)
+        assert snapshot(matrix) == before
+        matrix.check_invariants()
+
+    def test_block_frames_marked_colored_free(self, pool, matrix):
+        pool.mark_allocated(5, owner=3)
+        matrix.push_block(4, 2)
+        assert np.all(pool.state[4:8] == FrameState.COLORED_FREE)
+        assert np.all(pool.owner[4:8] == -1)
+        assert matrix.total_free == 4

@@ -1,8 +1,16 @@
 """Unit tests for machine presets."""
 
+import pickle
+
+import numpy as np
 import pytest
 
-from repro.machine.presets import MachineSpec, opteron_6128, tiny_machine
+from repro.machine.presets import (
+    PLATFORMS,
+    MachineSpec,
+    opteron_6128,
+    tiny_machine,
+)
 from repro.util.units import GIB, MIB
 
 
@@ -100,3 +108,50 @@ class TestMachineSpecValidation:
         a, b = opteron_6128(), tiny_machine()
         with pytest.raises(ValueError):
             MachineSpec(topology=a.topology, mapping=b.mapping, pci=b.pci)
+
+
+class TestColorCompatTable:
+    # PLATFORMS includes tiny_machine (as "tiny").
+    @pytest.mark.parametrize("name", sorted(PLATFORMS))
+    def test_table_is_the_physical_color_pairs(self, name):
+        mapping = PLATFORMS[name]().mapping
+        table = mapping.color_compat_table()
+        bank, llc = mapping.frame_color_table()
+        existing = np.zeros(
+            (mapping.num_bank_colors, mapping.num_llc_colors), dtype=bool
+        )
+        existing[bank, llc] = True
+        assert np.array_equal(table, existing)
+        for bc in (0, mapping.num_bank_colors - 1):
+            assert mapping.compatible_llc_colors(bc) == tuple(
+                np.flatnonzero(existing[bc]).tolist()
+            )
+            for lc in range(mapping.num_llc_colors):
+                assert mapping.colors_compatible(bc, lc) == existing[bc, lc]
+        node = mapping.num_nodes - 1
+        lo = node * mapping.bank_colors_per_node
+        hi = lo + mapping.bank_colors_per_node
+        assert mapping.compatible_bank_colors(0, node=node) == tuple(
+            (np.flatnonzero(existing[lo:hi, 0]) + lo).tolist()
+        )
+
+    @pytest.mark.parametrize("name", sorted(PLATFORMS))
+    def test_table_survives_pickle(self, name):
+        mapping = PLATFORMS[name]().mapping
+        table = mapping.color_compat_table()
+        clone = pickle.loads(pickle.dumps(mapping))
+        assert clone.__dict__["_color_compat"] is not None
+        assert np.array_equal(clone.color_compat_table(), table)
+        # A mapping pickled before first use builds the same table.
+        fresh = pickle.loads(pickle.dumps(PLATFORMS[name]().mapping))
+        assert np.array_equal(fresh.color_compat_table(), table)
+
+    def test_out_of_range_bank_color_rejected(self):
+        mapping = tiny_machine().mapping
+        for bad in (-1, mapping.num_bank_colors):
+            with pytest.raises(ValueError, match="out of range"):
+                mapping.colors_compatible(bad, 0)
+            with pytest.raises(ValueError, match="out of range"):
+                mapping.compatible_llc_colors(bad)
+        with pytest.raises(ValueError, match="out of range"):
+            mapping.compatible_bank_colors(0, node=mapping.num_nodes)
