@@ -1,12 +1,16 @@
 """Tier-2 guard: observability must cost nothing when disabled.
 
-The engine dispatches to ``_run_section_fast`` — byte-for-byte the seed's
-uninstrumented hot loop — whenever the observer is the default
-NullObserver.  This benchmark reconstructs the seed baseline by binding
-that loop directly (skipping even the dispatch check) and asserts the
-default path's host runtime on the Fig. 10 synthetic benchmark is within
-3% of it.  The tracing-enabled runtime is reported for information but
-not bounded: recording is allowed to cost what it costs.
+The engine dispatches to ``_run_section_fast`` whenever the observer is
+the default NullObserver.  On the Fig. 10 synthetic every page
+demand-faults, so ``_batch_plan`` declines every section and
+``_run_section_fast`` replays it through ``_run_section_reference``,
+whose tracing hooks sit behind one per-section ``if tracing:`` flag (a
+false branch per access, paid by both sides of this comparison).  This
+benchmark reconstructs the seed baseline by binding
+``_run_section_fast`` directly (skipping even the dispatch check) and
+asserts the default path's host runtime is within 3% of it.  The
+tracing-enabled runtime is reported for information but not bounded:
+recording is allowed to cost what it costs.
 """
 
 from __future__ import annotations

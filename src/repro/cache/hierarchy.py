@@ -177,24 +177,20 @@ class CacheHierarchy:
             the access went to memory.
         """
         line = paddr >> self._line_bits
-        if self.l1[core].lookup(line, is_write):
-            return self._r_l1
-        return self.access_after_l1(line, paddr, core, now, is_write)
-
-    def access_after_l1(
-        self, line: int, paddr: int, core: int, now: float, is_write: bool
-    ) -> HierarchyResult:
-        """Continue an access whose L1 lookup already missed.
-
-        The engine's fast path probes the issuing core's L1 directly
-        (``hierarchy.l1[core].lookup``) and only enters the hierarchy on a
-        miss; this entry point avoids a second L1 probe, which would
-        double-count misses and perturb LRU state.  ``line`` must equal
-        ``paddr >> line_bits`` for the hierarchy's line size.
-        """
-        # L2 probe (Cache.lookup, inlined: hashed set index, pop+reinsert
-        # refreshes LRU, dirty |= is_write; counters live on the Cache).
+        # L1 then L2 probe (Cache.lookup, inlined: hashed set index,
+        # pop+reinsert refreshes LRU, dirty |= is_write; counters live on
+        # the Cache).
         l2, l2_sets, l1_sets = self._percore[core]
+        ib = self._l1_ib
+        l1_set = l1_sets[
+            (line ^ (line >> ib) ^ (line >> (ib + ib))) & self._l1_mask
+        ]
+        l1_dirty = l1_set.pop(line, _ABSENT)
+        if l1_dirty is not _ABSENT:
+            l1_set[line] = l1_dirty or is_write
+            self.l1[core].hits += 1
+            return self._r_l1
+        self.l1[core].misses += 1
         ib = self._l2_ib
         l2_set = l2_sets[
             (line ^ (line >> ib) ^ (line >> (ib + ib))) & self._l2_mask
@@ -203,22 +199,15 @@ class CacheHierarchy:
         if l2_dirty is not _ABSENT:
             l2.hits += 1
             l2_set[line] = l2_dirty or is_write
-            # _fill_l1() = Cache.insert + victim write-down, inlined.
-            ib = self._l1_ib
-            l1_set = l1_sets[
-                (line ^ (line >> ib) ^ (line >> (ib + ib))) & self._l1_mask
-            ]
-            present = l1_set.pop(line, _ABSENT)
-            if present is not _ABSENT:
-                l1_set[line] = present or is_write
-            elif len(l1_set) >= self._l1_ways:
+            # _fill_l1() = Cache.insert + victim write-down, inlined; the
+            # probe above already proved the line absent from l1_set.
+            if len(l1_set) >= self._l1_ways:
                 old = next(iter(l1_set))
                 old_dirty = l1_set.pop(old)
                 l1_set[line] = is_write
                 if old_dirty:
                     # L2 absorbs the dirty victim if present, else the LLC
                     # (Cache.mark_dirty, inlined: no LRU refresh).
-                    ib = self._l2_ib
                     down = l2_sets[
                         (old ^ (old >> ib) ^ (old >> (ib + ib)))
                         & self._l2_mask

@@ -164,8 +164,9 @@ def _sanitized_observer(level: str, inner: BaseObserver) -> BaseObserver:
     """Wrap ``inner`` in a sanitizing observer unless ``level`` is "off".
 
     "off" returns ``inner`` untouched — the run keeps the fast path and
-    pays zero overhead.  "cheap"/"full" force the traced engine path and
-    arm every layer checker (see :mod:`repro.sanitize`).
+    pays zero overhead.  "cheap"/"full" enable the observer, which sends
+    every section through the engine's reference loop with its hooks
+    on, and arm every layer checker (see :mod:`repro.sanitize`).
     """
     if level == "off":
         return inner
@@ -236,7 +237,8 @@ def run_benchmark(
     ``observer`` (a fresh :class:`repro.obs.Observer`) records a trace
     of the run; the default NullObserver records nothing.  ``sanitize``
     ("off"/"cheap"/"full") arms runtime invariant checking; "off" is
-    free, the other levels run the traced path with checkers attached.
+    free, the other levels run the reference loop with the observer's
+    hooks and checkers attached.
 
     ``policy`` may also be a structured
     :class:`~repro.alloc.custom.CustomPolicy` (the search genome's

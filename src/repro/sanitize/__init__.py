@@ -11,7 +11,9 @@ Public surface:
 * Per-layer checkers: :class:`KernelChecker`, :class:`HeapChecker`,
   :class:`CacheChecker`, :class:`DramChecker`.
 * :mod:`repro.sanitize.diff` — the differential oracle across the
-  engine's fast/reference/traced paths plus the analytic model.
+  engine's fast/reference/traced modes (two replay loops: batched and
+  reference, the traced mode being the reference loop with its hooks
+  on) plus the analytic model.
 * :mod:`repro.sanitize.fuzz` — the randomized fuzz driver
   (``tools/fuzz_sim.py`` is its CLI).
 """

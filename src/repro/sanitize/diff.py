@@ -1,9 +1,11 @@
 """Differential oracle: fast vs reference vs traced paths vs analytic model.
 
-The engine has three replay loops that must be bit-identical
-(``_run_section_fast`` / ``_run_section_reference`` /
-``_run_section_traced``).  The oracle runs the *same* program through all
-of them on fresh machines, snapshots the full
+The engine has two replay loops that must be bit-identical
+(``_run_section_batched`` behind ``_run_section_fast``, and
+``_run_section_reference``), run in three modes: fast, reference
+(``fast_path=False``), and traced (the reference loop with its observer
+hooks on).  The oracle runs the *same* program through every mode on
+fresh machines, snapshots the full
 :class:`~repro.sim.metrics.RunMetrics` tree of each, and reports the
 first divergent field with every path's value — the drift detector for
 future hot-path optimisations.
@@ -11,7 +13,7 @@ future hot-path optimisations.
 On top of the cross-path diff, :func:`analytic_violations` checks the
 reference run against the model's closed-form identities (runtime
 decomposition, counter conservation down the memory hierarchy), so a bug
-that corrupts *all three* paths identically is still caught when it
+that corrupts *all three* modes identically is still caught when it
 breaks an identity.
 """
 

@@ -70,12 +70,13 @@ class Engine:
     Args:
         team: pinned, colored thread team (allocation policy already set).
         memory: the machine's cache/DRAM state.
-        observer: tracing sink; the default NullObserver selects the
-            uninstrumented replay loops.
+        observer: tracing sink; an enabled observer sends every section
+            through :meth:`_run_section_reference` with its hooks on.
         fast_path: when True (default) and the observer is disabled,
             sections replay through :meth:`_run_section_fast` — the
-            batched loop with the inlined L1-hit short-circuit.  Set
-            False to force :meth:`_run_section_reference`, the
+            batched loop for every section that can be planned, the
+            reference loop for the rest.  Set False to force
+            :meth:`_run_section_reference` for every section, the
             straightforward loop kept for equivalence testing and as the
             perf baseline (``benchmarks/perf_baseline.py``).  Both paths
             produce bit-identical :class:`~repro.sim.metrics.RunMetrics`.
@@ -204,17 +205,15 @@ class Engine:
         """Run one section; returns per-thread end times (Algorithm 3's
         ``end[tid]``).
 
-        Dispatches to the uninstrumented hot loops unless tracing is on —
-        the disabled-observer path must cost nothing per access (guarded
-        by ``benchmarks/test_obs_overhead.py``).  With tracing off, the
-        default is the batched fast path; ``fast_path=False`` selects the
-        reference loop (same results, no short-circuits), which exists so
-        the equivalence test and the perf baseline always have the
-        original engine to compare against.
+        Two loops, one dispatch: the batched fast path when
+        ``fast_path`` is on and the observer is off, the reference loop
+        otherwise.  The reference loop carries the observer hooks behind
+        one per-section flag, so the disabled-observer path costs one
+        branch per access (guarded by ``benchmarks/test_obs_overhead.py``);
+        ``fast_path=False`` keeps the original engine available to the
+        equivalence test and the perf baseline.
         """
-        if self.observer.enabled:
-            return self._run_section_traced(section, start, metrics)
-        if self.fast_path:
+        if self.fast_path and not self.observer.enabled:
             return self._run_section_fast(section, start, metrics)
         return self._run_section_reference(section, start, metrics)
 
@@ -233,36 +232,27 @@ class Engine:
            constants, and every cache set index
            (:func:`repro.cache.batch.set_index_batch`).  This requires
            every page of the section to be resident (compute sections
-           after the faulting init sections) and no prefetchers.
+           after the faulting init sections).
         2. :meth:`_run_section_batched` replays the residual *stateful*
            work — LRU content, bank/queue occupancies, the merge order
            itself — through a lean scalar loop over the precomputed
            plan, bit-identical to the reference loop.
 
-        When the plan cannot be built (a page would fault, prefetch
-        ablation on, or a degenerate row layout), the section runs
-        through :meth:`_run_section_scalar`, the previous-generation
-        fast loop.  Per-stage wall time is recorded in the ambient
-        metrics registry (``engine.kernel_ns{kind=decode|replay|
-        scalar_replay}``) so ``repro.obs top`` shows where replay time
-        goes.
+        When :meth:`_batch_plan` declines the section, it runs through
+        :meth:`_run_section_reference`.  Per-stage wall time is recorded
+        in the ambient metrics registry (``engine.kernel_ns{kind=decode|
+        replay|scalar_replay}``; ``scalar_replay`` times the reference
+        loop on declined sections) so ``repro.obs top`` shows where
+        replay time goes.
         """
         mreg = obs_metrics.active()
-        # A disaggregated tier makes latency depend on DRAM-cache state,
-        # which the stateless batched precompute cannot model — those
-        # machines replay through the scalar loop (still bit-identical
-        # to the reference path: both call the same dram.access).
-        batchable = (
-            self.memory.hierarchy.prefetchers is None
-            and not self.memory.dram._remote_caches
-        )
         if mreg is None:
-            plan = self._batch_plan(section) if batchable else None
+            plan = self._batch_plan(section)
             if plan is not None:
                 return self._run_section_batched(section, start, metrics, plan)
-            return self._run_section_scalar(section, start, metrics)
+            return self._run_section_reference(section, start, metrics)
         t0 = time.perf_counter()
-        plan = self._batch_plan(section) if batchable else None
+        plan = self._batch_plan(section)
         t1 = time.perf_counter()
         mreg.histogram("engine.kernel_ns", kind="decode").observe(
             (t1 - t0) * 1e9
@@ -271,7 +261,7 @@ class Engine:
             ends = self._run_section_batched(section, start, metrics, plan)
             kind = "replay"
         else:
-            ends = self._run_section_scalar(section, start, metrics)
+            ends = self._run_section_reference(section, start, metrics)
             kind = "scalar_replay"
         mreg.histogram("engine.kernel_ns", kind=kind).observe(
             (time.perf_counter() - t1) * 1e9
@@ -288,23 +278,27 @@ class Engine:
         propagation, link occupancy) of every access, plus the issuing
         core's cache bindings.  All of it is stateless address math, so
         it can leave the replay loop; everything computed here is
-        bit-identical to what the scalar paths derive per access.
+        bit-identical to what the reference loop derives per access.
 
-        Returns None — caller falls back to :meth:`_run_section_scalar`
-        — when any page of the section is unmapped (the access would
-        demand-fault mid-replay, which is inherently sequential) or the
-        row layout puts row bits inside the line offset.
+        This is the one place that decides whether a section can be
+        planned.  Returns None — caller falls back to
+        :meth:`_run_section_reference` — when prefetch ablation is on
+        (prefetches mutate cache state per access), the machine has a
+        remote DRAM-cache tier (latency depends on DRAM-cache state),
+        the row layout puts row bits inside the line offset, or any page
+        of the section is unmapped (the access would demand-fault
+        mid-replay, which is inherently sequential).
         """
         mapping = self.kernel.mapping
         page_bits = mapping.page_bits
         page_mask = (1 << page_bits) - 1
         hierarchy = self.memory.hierarchy
         dram = self.memory.dram
+        if hierarchy.prefetchers is not None or dram._remote_caches:
+            return None
         line_bits = hierarchy._line_bits
         row_shift = dram._row_shift
         if row_shift < line_bits:
-            return None
-        if dram._remote_caches:
             return None
         page_line_shift = page_bits - line_bits
         row_line_shift = row_shift - line_bits
@@ -387,8 +381,7 @@ class Engine:
         remote-transfer counts — live in section-local mirrors that are
         loaded once, mutated in execution order (so every float
         accumulation chain is unchanged), and stored back once.  Keep
-        the replay semantics in lockstep with the reference loop and
-        ``_run_section_traced``.
+        the replay semantics in lockstep with the reference loop.
         """
         hierarchy = self.memory.hierarchy
         dram = self.memory.dram
@@ -797,178 +790,6 @@ class Engine:
             b.conflicts = conf
         return ends
 
-    def _run_section_scalar(
-        self, section: Section, start: float, metrics: RunMetrics
-    ) -> dict[int, float]:
-        """The scalar fast loop (fallback for sections that may fault).
-
-        Same replay semantics as :meth:`_run_section_reference` — and
-        bit-identical metrics, enforced by
-        ``tests/test_sim_engine_equivalence.py`` — with three
-        engine-level optimisations on top of the shared batching window:
-
-        * **L1-hit short-circuit**: the issuing core's L1 is probed
-          inline (``Cache.lookup`` semantics on the set dicts directly);
-          a hit charges the constant L1 latency without entering
-          :class:`CacheHierarchy` at all.  Misses continue through
-          :meth:`~repro.cache.hierarchy.CacheHierarchy.access_after_l1`
-          (never re-probing the L1).  L1 hit/miss counters batch in
-          locals and flush with the other per-batch counters.
-        * **Batched counter flushes**: integer per-thread counters
-          (accesses, DRAM/remote/row-conflict counts) accumulate in
-          locals and flush to :class:`ThreadMetrics` when the thread
-          leaves its batch — int adds are associative, so totals are
-          exact.  Fault costs stay per-event (floats).
-        * **Local bindings** of every attribute the loop touches, and
-          page/line address components pre-split per trace with numpy
-          (``vpn`` and in-page line offset), so the resident-page path
-          does two int ops per access instead of four.
-
-        NOTE: `_run_section_traced` mirrors the reference loop with
-        tracing hooks; behavioural changes must be applied to all three.
-        """
-        # Local bindings for the hot loop.
-        page_bits = self.kernel.mapping.page_bits
-        page_mask = (1 << page_bits) - 1
-        hierarchy = self.memory.hierarchy
-        line_bits = hierarchy.topology.llc.offset_bits
-        page_line_shift = page_bits - line_bits
-        l1_hit = hierarchy.timing.l1_hit
-        miss_access = hierarchy.access_after_l1
-        page_table = self.space.page_table
-        page_table_get = page_table.get
-        translate = self.space.translate
-        kernel = self.kernel
-        threads = metrics.threads
-        DRAM = MemoryLevel.DRAM
-        CONFLICT = RowKind.CONFLICT
-        push, pop = heapq.heappush, heapq.heappop
-        slack = self.BATCH_SLACK_NS
-        inf = float("inf")
-
-        # L1 probe parameters (one geometry for every core's L1); the
-        # probe itself is Cache.lookup inlined on the set dicts.
-        l1_ib = hierarchy.topology.l1.index_bits
-        l1_ib2 = l1_ib + l1_ib
-        l1_mask = hierarchy.topology.l1.num_sets - 1
-        ABSENT = _ABSENT
-
-        # Per-thread replay state.  vpn/off_line are vectorised off the
-        # trace once (small ints, unlike the boxed 48-bit vaddrs); the
-        # replayed physical line address is then
-        # ``(pfn << page_line_shift) | off_line`` — identical bits to the
-        # reference loop's paddr construction + shift.
-        states: dict[int, list] = {}
-        heap: list[tuple[float, int]] = []
-        l1 = hierarchy.l1
-        for tidx, trace in section.traces.items():
-            if len(trace) == 0:
-                continue
-            vaddrs, writes, thinks = trace.as_lists()
-            va = trace.vaddrs
-            vpns = (va >> page_bits).tolist()
-            off_lines = ((va & page_mask) >> line_bits).tolist()
-            handle = self.team.handles[tidx]
-            l1_cache = l1[handle.core]
-            states[tidx] = [0, vaddrs, vpns, off_lines, writes, thinks,
-                            handle.task, handle.core, l1_cache,
-                            l1_cache._sets]
-            heapq.heappush(heap, (start, tidx))
-        ends: dict[int, float] = {tidx: start for tidx in section.traces}
-        if not heap:
-            return ends
-
-        while heap:
-            clock, tidx = pop(heap)
-            state = states[tidx]
-            (i, vaddrs, vpns, off_lines, writes, thinks, task, core,
-             l1_cache, l1_sets) = state
-            tm = threads[tidx]
-            n = len(vaddrs)
-            # Run this thread until it overtakes the next-soonest thread
-            # (plus slack) or finishes its trace; counters batch in
-            # locals for the whole run.
-            horizon = (heap[0][0] + slack) if heap else inf
-            i0 = i
-            dram_n = 0
-            remote_n = 0
-            conflict_n = 0
-            l1_misses = 0
-
-            while True:
-                pfn = page_table_get(vpns[i])
-                if pfn is None:
-                    # Demand fault under the faulting task's policy.
-                    paddr, _ = translate(vaddrs[i], task)
-                    fault_ns = kernel.last_fault_charge.total_ns
-                    tm.faults += 1
-                    tm.fault_ns += fault_ns
-                    line = paddr >> line_bits
-                    entries = l1_sets[
-                        (line ^ (line >> l1_ib) ^ (line >> l1_ib2)) & l1_mask
-                    ]
-                    d = entries.pop(line, ABSENT)
-                    if d is not ABSENT:
-                        entries[line] = d or writes[i]
-                        clock += thinks[i] + l1_hit + fault_ns
-                    else:
-                        l1_misses += 1
-                        result = miss_access(
-                            line, paddr, core, clock, writes[i]
-                        )
-                        if result.level is DRAM:
-                            dram = result.dram
-                            dram_n += 1
-                            if dram.hops:
-                                remote_n += 1
-                            if dram.row_kind is CONFLICT:
-                                conflict_n += 1
-                        clock += thinks[i] + result.latency + fault_ns
-                else:
-                    line = (pfn << page_line_shift) | off_lines[i]
-                    entries = l1_sets[
-                        (line ^ (line >> l1_ib) ^ (line >> l1_ib2)) & l1_mask
-                    ]
-                    d = entries.pop(line, ABSENT)
-                    if d is not ABSENT:
-                        entries[line] = d or writes[i]
-                        clock += thinks[i] + l1_hit
-                    else:
-                        l1_misses += 1
-                        # Byte offsets below the line never matter past
-                        # L1, so line << line_bits is the paddr the
-                        # hierarchy needs (page, row, bank all agree).
-                        result = miss_access(
-                            line, line << line_bits, core, clock, writes[i]
-                        )
-                        if result.level is DRAM:
-                            dram = result.dram
-                            dram_n += 1
-                            if dram.hops:
-                                remote_n += 1
-                            if dram.row_kind is CONFLICT:
-                                conflict_n += 1
-                        clock += thinks[i] + result.latency
-
-                i += 1
-                if i >= n:
-                    ends[tidx] = clock
-                    break
-                if clock > horizon:
-                    state[0] = i
-                    push(heap, (clock, tidx))
-                    break
-            # Batch counter flush; the access count is the index delta,
-            # and every non-hit probe was counted in l1_misses.
-            accesses = i - i0
-            tm.accesses += accesses
-            tm.dram_accesses += dram_n
-            tm.remote_accesses += remote_n
-            tm.row_conflicts += conflict_n
-            l1_cache.hits += accesses - l1_misses
-            l1_cache.misses += l1_misses
-        return ends
-
     def _run_section_reference(
         self, section: Section, start: float, metrics: RunMetrics
     ) -> dict[int, float]:
@@ -976,11 +797,19 @@ class Engine:
 
         This is the engine as it existed before the fast path: every
         access enters :meth:`CacheHierarchy.access`, and per-thread
-        counters update one access at a time.  It is kept (verbatim) as
-        the behavioural reference: ``tests/test_sim_engine_equivalence.py``
-        asserts the fast path reproduces its :class:`RunMetrics`
-        bit-for-bit, and ``benchmarks/perf_baseline.py`` measures the
-        fast path's speedup against it.
+        counters update one access at a time.  It is the behavioural
+        reference — ``tests/test_sim_engine_equivalence.py`` asserts the
+        batched loop reproduces its :class:`RunMetrics` bit-for-bit, and
+        ``benchmarks/perf_baseline.py`` measures the fast path's speedup
+        against it — and it runs every section the batched loop cannot
+        plan: demand faults, prefetch ablation, a remote DRAM-cache tier.
+
+        With an enabled observer it also carries the tracing hooks: the
+        observer's sim-time cursor before a fault (so kernel events carry
+        timestamps), a span per page-fault service, and the
+        counter-sampling cadence check per access.  DRAM transaction
+        spans are emitted by :class:`~repro.dram.system.DramSystem`
+        itself.  The hooks only observe; they never change the replay.
         """
         # Per-thread replay state.
         states: dict[int, list] = {}
@@ -1009,6 +838,9 @@ class Engine:
         push, pop = heapq.heappush, heapq.heappop
         slack = self.BATCH_SLACK_NS
         inf = float("inf")
+        obs = self.observer
+        tracing = obs.enabled
+        obs_sample = obs.maybe_sample
 
         while heap:
             clock, tidx = pop(heap)
@@ -1027,10 +859,18 @@ class Engine:
                 fault_ns = 0.0
                 if pfn is None:
                     # Demand fault under the faulting task's policy.
+                    if tracing:
+                        obs.now = clock
                     paddr, _ = translate(vaddr, task)
                     fault_ns = kernel.last_fault_charge.total_ns
                     tm.faults += 1
                     tm.fault_ns += fault_ns
+                    if tracing:
+                        obs.span(
+                            "fault", clock, clock + fault_ns,
+                            track="threads", tid=tidx,
+                            args={"vpn": vpn, "core": core},
+                        )
                 else:
                     paddr = (pfn << page_bits) | (vaddr & page_mask)
 
@@ -1045,95 +885,8 @@ class Engine:
                         tm.row_conflicts += 1
 
                 clock += thinks[i] + result.latency + fault_ns
-                i += 1
-                if i >= n:
-                    ends[tidx] = clock
-                    break
-                if clock > horizon:
-                    state[0] = i
-                    push(heap, (clock, tidx))
-                    break
-        return ends
-
-    def _run_section_traced(
-        self, section: Section, start: float, metrics: RunMetrics
-    ) -> dict[int, float]:
-        """`_run_section_fast` with observability hooks.
-
-        Adds, per access: the observer's sim-time cursor (so kernel
-        events carry timestamps), a span per page-fault service, and the
-        counter-sampling cadence check.  DRAM transaction spans are
-        emitted by :class:`~repro.dram.system.DramSystem` itself.  Keep
-        the replay logic in lockstep with `_run_section_fast`.
-        """
-        states: dict[int, list] = {}
-        heap: list[tuple[float, int]] = []
-        for tidx, trace in section.traces.items():
-            if len(trace) == 0:
-                continue
-            vaddrs, writes, thinks = trace.as_lists()
-            handle = self.team.handles[tidx]
-            states[tidx] = [0, vaddrs, writes, thinks, handle.task, handle.core]
-            heapq.heappush(heap, (start, tidx))
-        ends: dict[int, float] = {tidx: start for tidx in section.traces}
-        if not heap:
-            return ends
-
-        page_bits = self.kernel.mapping.page_bits
-        page_mask = (1 << page_bits) - 1
-        page_table = self.space.page_table
-        translate = self.space.translate
-        access = self.memory.hierarchy.access
-        kernel = self.kernel
-        threads = metrics.threads
-        DRAM = MemoryLevel.DRAM
-        CONFLICT = RowKind.CONFLICT
-        push, pop = heapq.heappush, heapq.heappop
-        slack = self.BATCH_SLACK_NS
-        inf = float("inf")
-        obs = self.observer
-        obs_span = obs.span
-        obs_sample = obs.maybe_sample
-
-        while heap:
-            clock, tidx = pop(heap)
-            state = states[tidx]
-            i, vaddrs, writes, thinks, task, core = state
-            tm = threads[tidx]
-            n = len(vaddrs)
-            horizon = (heap[0][0] + slack) if heap else inf
-
-            while True:
-                vaddr = vaddrs[i]
-                vpn = vaddr >> page_bits
-                pfn = page_table.get(vpn)
-                fault_ns = 0.0
-                if pfn is None:
-                    obs.now = clock
-                    paddr, _ = translate(vaddr, task)
-                    fault_ns = kernel.last_fault_charge.total_ns
-                    tm.faults += 1
-                    tm.fault_ns += fault_ns
-                    obs_span(
-                        "fault", clock, clock + fault_ns,
-                        track="threads", tid=tidx,
-                        args={"vpn": vpn, "core": core},
-                    )
-                else:
-                    paddr = (pfn << page_bits) | (vaddr & page_mask)
-
-                result = access(paddr, core, clock, writes[i])
-                tm.accesses += 1
-                if result.level is DRAM:
-                    dram = result.dram
-                    tm.dram_accesses += 1
-                    if dram.hops:
-                        tm.remote_accesses += 1
-                    if dram.row_kind is CONFLICT:
-                        tm.row_conflicts += 1
-
-                clock += thinks[i] + result.latency + fault_ns
-                obs_sample(clock)
+                if tracing:
+                    obs_sample(clock)
                 i += 1
                 if i >= n:
                     ends[tidx] = clock

@@ -4,9 +4,9 @@ The engine's batched fast path (`Engine._run_section_fast`) must produce
 *bit-identical* results to the straightforward reference loop
 (`Engine._run_section_reference`) — not approximately equal: the same
 floats in every latency sum, the same integers in every counter.  These
-tests run real fig. 10/fig. 11 workloads through both paths (and through
-the traced path with a recording observer) and compare complete metric
-snapshots with exact equality.
+tests run real fig. 10/fig. 11 workloads through both loops (and through
+the reference loop with a recording observer's hooks on) and compare
+complete metric snapshots with exact equality.
 
 If one of these tests fails after an engine/hierarchy/DRAM change, the
 fast path has drifted from the model's semantics; fix the drift, never
@@ -27,7 +27,7 @@ from repro.experiments.runner import (
     profile_scale,
 )
 from repro.obs import Observer
-from repro.sim.metrics import RunMetrics
+from repro.sim.metrics import RunMetrics, ThreadMetrics
 from repro.util.rng import RngStream
 from repro.workloads.base import build_spmd_program
 from repro.workloads.registry import get_workload
@@ -63,9 +63,12 @@ def run_fig11(bench: str, policy: Policy, *, fast: bool, traced: bool = False):
     return snapshot(engine.run(program))
 
 
-def run_fig10(policy: Policy, *, fast: bool):
+def run_fig10(policy: Policy, *, fast: bool, traced: bool = False):
+    observer = Observer() if traced else None
+    kwargs = {"observer": observer} if observer is not None else {}
     team, engine = _fresh_environment(
-        CONFIGS[CONFIG], policy, profile_machine(PROFILE), age_seed=0
+        CONFIGS[CONFIG], policy, profile_machine(PROFILE), age_seed=0,
+        **kwargs
     )
     engine.fast_path = fast
     spec = SyntheticSpec(per_thread_bytes=64 * 1024)
@@ -89,9 +92,17 @@ def test_fig10_synthetic_fast_equals_reference(policy):
 
 
 def test_traced_path_matches_reference():
-    """A recording observer must not perturb the simulation itself."""
+    """A recording observer must not perturb the simulation itself.
+
+    Two inputs: lbm (resident compute sections) and the Fig. 10
+    synthetic, where every page demand-faults and so every access runs
+    the hook-guarded fault branch.
+    """
     ref = run_fig11("lbm", Policy.MEM_LLC, fast=False)
     traced = run_fig11("lbm", Policy.MEM_LLC, fast=True, traced=True)
+    assert traced == ref
+    ref = run_fig10(Policy.MEM_LLC, fast=False)
+    traced = run_fig10(Policy.MEM_LLC, fast=True, traced=True)
     assert traced == ref
 
 
@@ -139,8 +150,8 @@ def test_platform_traced_matches_reference(preset):
 
 
 def test_disagg_disables_batched_plan():
-    """A disaggregated preset must fall back to the scalar replay loop —
-    the batched precompute cannot model DRAM-cache state."""
+    """A disaggregated preset must fall back to the reference loop — the
+    batched precompute cannot model DRAM-cache state."""
     from repro.experiments.configs import configs_for
     from repro.machine.presets import platform
     from repro.util.units import MIB
@@ -158,21 +169,78 @@ def test_disagg_disables_batched_plan():
     assert engine._batch_plan(section) is None
 
 
-def test_fast_path_flag_dispatch():
-    """fast_path=False must actually select the reference loop."""
+#: (route, expected loop, expected engine.kernel_ns kinds).  Only the
+#: fast path records kernel_ns; a declined plan is timed as scalar_replay.
+DISPATCH_ROUTES = [
+    ("fast_path_off", "reference", set()),
+    ("observer_on", "reference", set()),
+    ("init_section", "reference", {"decode", "scalar_replay"}),
+    ("disagg_compute", "reference", {"decode", "scalar_replay"}),
+    ("resident_compute", "batched", {"decode", "replay"}),
+]
+
+
+@pytest.mark.parametrize(
+    "route,loop,kinds", DISPATCH_ROUTES, ids=[r[0] for r in DISPATCH_ROUTES]
+)
+def test_fast_path_flag_dispatch(route, loop, kinds):
+    """Each section lands in the loop the dispatch table names, and the
+    metrics registry labels its replay time accordingly."""
+    from repro.machine.presets import platform
+    from repro.obs import metrics as obs_metrics
+    from repro.obs.metrics import MetricsRegistry
+    from repro.util.units import MIB
+
+    if route == "disagg_compute":
+        from repro.experiments.configs import configs_for
+
+        machine = platform("disagg_2n", 256 * MIB)
+        config = next(iter(configs_for(machine.topology).values()))
+    else:
+        machine = profile_machine(PROFILE)
+        config = CONFIGS[CONFIG]
+    kwargs = {"observer": Observer()} if route == "observer_on" else {}
     team, engine = _fresh_environment(
-        CONFIGS[CONFIG], Policy.BUDDY, profile_machine(PROFILE), age_seed=0
+        config, Policy.BUDDY, machine, age_seed=0, **kwargs
     )
     assert engine.fast_path  # default on
-    engine.fast_path = False
-    seen = []
-    engine._run_section_reference = lambda *a, **k: seen.append("ref") or {}
-    engine._run_section(
-        next(iter(build_spmd_program(
-            get_workload("blackscholes").scaled(profile_scale(PROFILE)),
-            team, RngStream(0, "blackscholes", CONFIG),
-        ).sections)),
-        0.0,
-        RunMetrics(name="x", policy="buddy", nthreads=team.nthreads),
+    engine.fast_path = route != "fast_path_off"
+    program = build_spmd_program(
+        get_workload("lbm").scaled(profile_scale(PROFILE)),
+        team, RngStream(0, "lbm", config.name),
     )
-    assert seen == ["ref"]
+    metrics = RunMetrics(name="x", policy="buddy", nthreads=team.nthreads)
+    metrics.threads = [
+        ThreadMetrics(thread=i, core=h.core)
+        for i, h in enumerate(team.handles)
+    ]
+    # Replay every section before the target through the real dispatch:
+    # the compute routes then find every page resident, the others run
+    # the first-touch init section, where every page demand-faults.
+    sections = program.sections
+    label = "compute[0]" if route.endswith("_compute") else "parallel-init"
+    target = next(k for k, s in enumerate(sections) if s.label == label)
+    wall = 0.0
+    for section in sections[:target]:
+        wall = max(engine._run_section(section, wall, metrics).values())
+
+    seen = []
+    for name in ("reference", "batched"):
+        real = getattr(engine, f"_run_section_{name}")
+
+        def spy(*a, _name=name, _real=real, **k):
+            seen.append(_name)
+            return _real(*a, **k)
+
+        setattr(engine, f"_run_section_{name}", spy)
+    faults = sum(t.faults for t in metrics.threads)
+    with obs_metrics.installed(MetricsRegistry()) as reg:
+        engine._run_section(sections[target], wall, metrics)
+    faulted = sum(t.faults for t in metrics.threads) > faults
+    assert faulted == (label == "parallel-init")
+    recorded = {
+        h["labels"]["kind"] for h in reg.snapshot()["histograms"]
+        if h["name"] == "engine.kernel_ns"
+    }
+    assert seen == [loop]
+    assert recorded == kinds
