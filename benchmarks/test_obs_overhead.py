@@ -2,13 +2,12 @@
 
 The engine dispatches to ``_run_section_fast`` whenever the observer is
 the default NullObserver.  On the Fig. 10 synthetic every page
-demand-faults, so ``_batch_plan`` declines every section and
-``_run_section_fast`` replays it through ``_run_section_reference``,
-whose tracing hooks sit behind one per-section ``if tracing:`` flag (a
-false branch per access, paid by both sides of this comparison).  This
-benchmark reconstructs the seed baseline by binding
-``_run_section_fast`` directly (skipping even the dispatch check) and
-asserts the default path's host runtime is within 3% of it.  The
+demand-faults; ``_run_section_fast`` replays it through the batched
+loop, which takes those faults at its fault stops (both sides of this
+comparison run the same loop).  This benchmark reconstructs the seed
+baseline by binding ``_run_section_fast`` directly (skipping even the
+dispatch check) and asserts the default path's host runtime is within
+3% of it.  The
 tracing-enabled runtime is reported for information but not bounded:
 recording is allowed to cost what it costs.
 """

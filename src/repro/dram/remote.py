@@ -18,8 +18,9 @@ Two pieces live here:
 Everything is deterministic: the cache is strict LRU over insertion-
 ordered dicts, and the network link is a single ``busy_until`` queue like
 the controller/channel stages, so fast/reference replays stay
-bit-identical (the batched fast path simply disables itself when a
-remote tier is present — see ``repro.sim.engine``).
+bit-identical.  The engine's batched loop inlines the tier: it probes
+and fills :attr:`RemoteCache._sets` in place and mirrors the network
+links and probe counters for the section (see ``repro.sim.engine``).
 """
 
 from __future__ import annotations

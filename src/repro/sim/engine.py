@@ -31,6 +31,19 @@ from repro.sim.barrier import Program, Section
 from repro.sim.metrics import RunMetrics, SectionMetrics, ThreadMetrics
 
 
+def page_route(links: tuple, node: int, channel: int, bank_color: int) -> tuple:
+    """One page's DRAM route as seen from one core, packed for replay.
+
+    ``links`` is the core's per-node (hops, propagation, link occupancy,
+    link key) rows.  The batched loop unpacks the result once per LLC
+    miss: (node, channel bus, bank color, hops, propagation, link
+    occupancy, link key).  Every access to the page shares the tuple.
+    """
+    hops, prop, occupancy, keys = links
+    return (node, channel, bank_color, hops[node], prop[node],
+            occupancy[node], keys[node])
+
+
 @dataclass
 class MemorySystem:
     """Caches + DRAM bundled for one simulated machine."""
@@ -74,7 +87,8 @@ class Engine:
             through :meth:`_run_section_reference` with its hooks on.
         fast_path: when True (default) and the observer is disabled,
             sections replay through :meth:`_run_section_fast` — the
-            batched loop for every section that can be planned, the
+            batched loop for every section that can be planned (all but
+            prefetch ablation and a degenerate row layout), the
             reference loop for the rest.  Set False to force
             :meth:`_run_section_reference` for every section, the
             straightforward loop kept for equivalence testing and as the
@@ -224,21 +238,24 @@ class Engine:
 
         Two-stage structure (see docs/PERFORMANCE.md for the model):
 
-        1. :meth:`_batch_plan` tries to vectorise all *stateless*
-           per-access work for the whole section with numpy — address
-           translation (unique-page gather), physical line construction,
-           DRAM route decode (:meth:`AddressMapping.decode_batch` via
+        1. :meth:`_batch_plan` vectorises all *stateless* per-access
+           work for the whole section with numpy — address translation
+           (unique-page gather), physical line construction, DRAM route
+           decode (:meth:`AddressMapping.decode_batch` via
            :meth:`DramSystem.route_batch`), row numbers, interconnect
            constants, and every cache set index
-           (:func:`repro.cache.batch.set_index_batch`).  This requires
-           every page of the section to be resident (compute sections
-           after the faulting init sections).
+           (:func:`repro.cache.batch.set_index_batch`).  A trace that
+           touches unmapped pages is planned up to its first fault
+           stop; replay plans the rest one window at a time, after
+           each fault.
         2. :meth:`_run_section_batched` replays the residual *stateful*
-           work — LRU content, bank/queue occupancies, the merge order
-           itself — through a lean scalar loop over the precomputed
-           plan, bit-identical to the reference loop.
+           work — LRU content, bank/queue occupancies, demand faults,
+           the remote DRAM-cache tier, the merge order itself — through
+           a lean scalar loop over the plan, bit-identical to the
+           reference loop.
 
-        When :meth:`_batch_plan` declines the section, it runs through
+        When :meth:`_batch_plan` declines the section (prefetch
+        ablation, a degenerate row layout), it runs through
         :meth:`_run_section_reference`.  Per-stage wall time is recorded
         in the ambient metrics registry (``engine.kernel_ns{kind=decode|
         replay|scalar_replay}``; ``scalar_replay`` times the reference
@@ -273,28 +290,36 @@ class Engine:
 
         Returns one plan tuple per non-empty trace: plain Python lists
         (fast scalar indexing) of the line address, L1/L2/LLC set index,
-        write flag, think time, DRAM route (node, channel bus, bank
-        color), row number, and interconnect constants (hops,
-        propagation, link occupancy) of every access, plus the issuing
-        core's cache bindings.  All of it is stateless address math, so
-        it can leave the replay loop; everything computed here is
-        bit-identical to what the reference loop derives per access.
+        write flag, think time, DRAM route (a :func:`page_route` tuple
+        shared by every access to the page) and row number of every
+        access, plus the issuing core's cache bindings, the trace's
+        *fault stops* and the core's interconnect rows.  All of it is
+        stateless address math, so it can leave the replay loop;
+        everything computed here is bit-identical to what the reference
+        loop derives per access.  Pages on a node behind the remote
+        DRAM-cache tier carry the hop sentinel ``-1``, which routes
+        their accesses through the tier in the replay loop.
+
+        A trace that touches pages unmapped now is planned only up to
+        its first fault stop.  Its fault stops are the sorted first
+        indices at which it touches each such page, followed by the
+        trace length.  The rest of every address-derived list is a
+        ``0`` placeholder that :meth:`_run_section_batched` fills one
+        window ``[stop_k, stop_k+1)`` at a time, once replay reaches
+        ``stop_k`` and the page is mapped.
 
         This is the one place that decides whether a section can be
         planned.  Returns None — caller falls back to
-        :meth:`_run_section_reference` — when prefetch ablation is on
-        (prefetches mutate cache state per access), the machine has a
-        remote DRAM-cache tier (latency depends on DRAM-cache state),
-        the row layout puts row bits inside the line offset, or any page
-        of the section is unmapped (the access would demand-fault
-        mid-replay, which is inherently sequential).
+        :meth:`_run_section_reference` — only when prefetch ablation is
+        on (prefetches mutate cache state per access) or the row layout
+        puts row bits inside the line offset.
         """
         mapping = self.kernel.mapping
         page_bits = mapping.page_bits
         page_mask = (1 << page_bits) - 1
         hierarchy = self.memory.hierarchy
         dram = self.memory.dram
-        if hierarchy.prefetchers is not None or dram._remote_caches:
+        if hierarchy.prefetchers is not None:
             return None
         line_bits = hierarchy._line_bits
         row_shift = dram._row_shift
@@ -309,56 +334,83 @@ class Engine:
         llc_mask = hierarchy._llc_mask
         ic = dram.interconnect
         num_nodes = mapping.num_nodes
+        remote_nodes = dram._remote_caches
         page_table_get = self.space.page_table.get
         handles = self.team.handles
         plans: dict[int, tuple] = {}
         for tidx, trace in section.traces.items():
-            if len(trace) == 0:
+            n = len(trace)
+            if n == 0:
                 continue
             va = trace.vaddrs
-            uvpn, inv = np.unique(va >> page_bits, return_inverse=True)
+            vpns = va >> page_bits
+            uvpn, inv = np.unique(vpns, return_inverse=True)
             upfns = [page_table_get(v) for v in uvpn.tolist()]
+            stops = None
+            planned = n
             if None in upfns:
-                return None
+                unmapped = np.array([p is None for p in upfns])
+                first = np.unique(vpns, return_index=True)[1]
+                stops = np.sort(first[unmapped]).tolist()
+                stops.append(n)
+                planned = stops[0]
+                # Frame 0 stands in for the unmapped pages; no planned
+                # access touches them.
+                upfns = [0 if p is None else p for p in upfns]
+                va = va[:planned]
+                inv = inv[:planned]
+            # Unplanned tail: shared 0 placeholders, filled at replay.
+            tail = [0] * (n - planned)
+
+            def listed(a: np.ndarray) -> list:
+                return a.tolist() + tail if tail else a.tolist()
+
             pfns_u = np.asarray(upfns, dtype=np.int64)
             lines = (pfns_u[inv] << page_line_shift) | (
                 (va & page_mask) >> line_bits
             )
             bc_u, node_u, chan_u = dram.route_batch(pfns_u)
             core = handles[tidx].core
-            hops_u = np.asarray(ic._hops[core], dtype=np.int64)[node_u]
-            prop_u = np.asarray(ic._prop[core], dtype=np.float64)[node_u]
-            occ_u = np.asarray(ic._occupancy[core], dtype=np.float64)[node_u]
-            writes = trace.writes.tolist()
+            hop_row = ic._hops[core]
+            if remote_nodes:
+                hop_row = [
+                    -1 if nd in remote_nodes else h
+                    for nd, h in enumerate(hop_row)
+                ]
+            src = ic._src_node[core]
+            links = (
+                hop_row, ic._prop[core], ic._occupancy[core],
+                [(src, nd) for nd in range(num_nodes)],
+            )
+            route_u = [
+                page_route(links, nd, ch, bc)
+                for nd, ch, bc in zip(
+                    node_u.tolist(), chan_u.tolist(), bc_u.tolist()
+                )
+            ]
+            routes = [route_u[u] for u in inv.tolist()]
+            if tail:
+                routes += tail
             tn = trace.think_ns
             thinks = (
                 tn.astype(float).tolist()
                 if isinstance(tn, np.ndarray)
-                else [float(tn)] * len(va)
+                else [float(tn)] * n
             )
-            src = ic._src_node[core]
-            # Pack the per-access fields into tuples so the replay loop
-            # pays one list index + one unpack per access instead of one
-            # list index per field.  The second record carries the
-            # DRAM-only fields and is touched only on LLC misses.
             plans[tidx] = (
-                lines.tolist(),
-                set_index_batch(
+                listed(lines),
+                listed(set_index_batch(
                     lines, l1_geom.index_bits, l1_set_mask, True
-                ).tolist(),
-                set_index_batch(
+                )),
+                listed(set_index_batch(
                     lines, l2_geom.index_bits, l2_set_mask, True
-                ).tolist(),
-                (lines & llc_mask).tolist(),
-                writes, thinks,
-                node_u[inv].tolist(), chan_u[inv].tolist(),
-                bc_u[inv].tolist(),
-                (lines >> row_line_shift).tolist(),
-                hops_u[inv].tolist(), prop_u[inv].tolist(),
-                occ_u[inv].tolist(),
-                [(src, n) for n in range(num_nodes)],
+                )),
+                listed(lines & llc_mask),
+                trace.writes.tolist(), thinks, routes,
+                listed(lines >> row_line_shift),
                 hierarchy.l1[core], hierarchy._l1_sets[core],
                 hierarchy.l2[core], hierarchy._l2_sets[core],
+                stops, links,
             )
         return plans
 
@@ -378,10 +430,21 @@ class Engine:
         is inlined (no :class:`HierarchyResult`/``AccessResult``
         allocation), and shared accumulators — DRAM statistics, bank
         row-buffer state, LLC counters, dirty-eviction and
-        remote-transfer counts — live in section-local mirrors that are
+        remote-transfer counts, the remote tier's network links and
+        DRAM-cache counters — live in section-local mirrors that are
         loaded once, mutated in execution order (so every float
         accumulation chain is unchanged), and stored back once.  Keep
         the replay semantics in lockstep with the reference loop.
+
+        Demand faults are taken in merge order.  A thread's loop limit
+        is its next fault stop (see :meth:`_batch_plan`).  At a stop the
+        horizon check comes first, as in the reference loop; then the
+        page is faulted in unless another thread mapped it meanwhile,
+        and the window up to the next stop is planned with scalar
+        math.  A fault touches only allocator and page-table state, so
+        the mirrors stay valid across it.  The faulting access ends at
+        ``clock + ((think + lat) + fault_ns)``: the charge is applied
+        from the pre-access clock once the loop reaches ``stop + 1``.
         """
         hierarchy = self.memory.hierarchy
         dram = self.memory.dram
@@ -394,6 +457,9 @@ class Engine:
         l1_ways = hierarchy._l1_ways
         l2_ways = hierarchy._l2_ways
         llc_ways = hierarchy._llc_ways
+        l1_ib = hierarchy._l1_ib
+        l1_ib2 = l1_ib + l1_ib
+        l1_mask = hierarchy._l1_mask
         l2_ib = hierarchy._l2_ib
         l2_ib2 = l2_ib + l2_ib
         l2_mask = hierarchy._l2_mask
@@ -417,14 +483,43 @@ class Engine:
         write_recovery = dram._write_recovery
         wb_scale = dram._wb_scale
         line_bits = hierarchy._line_bits
-        page_line_shift = self.kernel.mapping.page_bits - line_bits
+        page_bits = self.kernel.mapping.page_bits
+        page_mask = (1 << page_bits) - 1
+        page_line_shift = page_bits - line_bits
         row_line_shift = dram._row_shift - line_bits
+        page_table = self.space.page_table
+        page_table_get = page_table.get
+        translate = self.space.translate
+        kernel = self.kernel
         ABSENT = _ABSENT
         pop = heapq.heappop
         replace = heapq.heapreplace
         slack = self.BATCH_SLACK_NS
         inf = float("inf")
         threads = metrics.threads
+        handles = self.team.handles
+
+        # The remote DRAM-cache tier (DramSystem._remote_access): per
+        # node, the cache's set list (None for ordinary nodes) and
+        # mirrors of its network link and probe counters.
+        num_nodes = len(ctrl_busy)
+        remote_caches = dram._remote_caches
+        tier = dram.remote
+        rc_sets: list = [None] * num_nodes
+        rc_hit_n = [0] * num_nodes
+        rc_miss_n = [0] * num_nodes
+        net_busy = [0.0] * num_nodes
+        for nd, cache in remote_caches.items():
+            rc_sets[nd] = cache._sets
+            rc_hit_n[nd] = cache.hits
+            rc_miss_n[nd] = cache.misses
+            net_busy[nd] = dram._net_busy[nd]
+        if tier is not None:
+            rc_mask = tier.num_sets - 1
+            rc_ways = tier.cache_ways
+            net_ns = tier.network_ns
+            net_service = tier.network_service_ns
+            cache_hit_ns = tier.cache_hit_ns
 
         # Section-local mirrors of every shared accumulator the loop
         # touches.  Loaded once, updated in exactly the order the
@@ -451,29 +546,35 @@ class Engine:
         s_remote = stats.remote_accesses
         s_local = stats.local_accesses
         s_writebacks = stats.writebacks
+        s_rc_hits = stats.remote_cache_hits
+        s_rc_misses = stats.remote_cache_misses
         per_node = stats.per_node_accesses
-        pn_n = [0] * len(ctrl_busy)
+        pn_n = [0] * num_nodes
         de_n = hierarchy.dirty_evictions
         remote_tr_n = ic.remote_transfers
 
-        wb_memo: dict[int, tuple[int, int, int]] = {}
-        wb_memo_get = wb_memo.get
-
         def wb(old: int, now: float) -> None:
             # DramSystem.writeback(old << line_bits, now), inlined over
-            # the section-local bank/channel tables.  Route decode is
-            # memoised per line — dirty lines cycle through the LLC, so
-            # repeat write-backs of the same line are the common case.
+            # the section-local bank/channel/network tables.
             nonlocal s_writebacks
-            info = wb_memo_get(old)
-            if info is None:
-                wpfn = old >> page_line_shift
-                route = frame_route_get(wpfn)
-                if route is None:
-                    route = dram_route(wpfn)
-                info = (route[2], route[0], old >> row_line_shift)
-                wb_memo[old] = info
-            wch, wbc, wrow = info
+            wpfn = old >> page_line_shift
+            route = frame_route_get(wpfn)
+            if route is None:
+                route = dram_route(wpfn)
+            wbc, wnd, wch, _ = route
+            rsets = rc_sets[wnd]
+            if rsets is not None:
+                rset = rsets[old & rc_mask]
+                if old in rset:
+                    # Absorbed by the DRAM cache (RemoteCache.touch).
+                    del rset[old]
+                    rset[old] = None
+                    s_writebacks += 1
+                    return
+                busy = net_busy[wnd]
+                wstart = now if now > busy else busy
+                net_busy[wnd] = wstart + net_service
+                now = wstart + net_ns
             busy = chan_busy[wch]
             chan_busy[wch] = (now if now > busy else busy) + channel_service
             busy = bank_busy[wbc]
@@ -487,7 +588,7 @@ class Engine:
                 orow = bank_row[wbc]
                 if orow is None:
                     base = row_miss_ns
-                elif orow == wrow:
+                elif orow == old >> row_line_shift:
                     base = row_hit_ns
                 else:
                     base = row_conflict_ns
@@ -506,20 +607,78 @@ class Engine:
                     wb(old, now)
             llc_set[line] = True
 
+        def resolve(fault: list, i: int) -> tuple[float, int]:
+            # Fault stop ``i``: demand-fault its page under the thread's
+            # policy unless another thread mapped it first, then plan
+            # the window up to the next stop with scalar math (the same
+            # route, XOR-fold and shift arithmetic as _batch_plan).
+            # Returns (fault charge, next stop).
+            (k, stops, vaddrs, tm, task, links,
+             lines, l1i, l2i, lci, routes, rows) = fault
+            k += 1
+            fault[0] = k
+            end = stops[k]
+            window = vaddrs[i:end].tolist()
+            vaddr = window[0]
+            fault_ns = 0.0
+            if page_table_get(vaddr >> page_bits) is None:
+                translate(vaddr, task)
+                fault_ns = kernel.last_fault_charge.total_ns
+                tm.faults += 1
+                tm.fault_ns += fault_ns
+            vpns = [va >> page_bits for va in window]
+            bases = {}
+            page_routes = {}
+            for vpn in set(vpns):
+                pfn = page_table[vpn]
+                route = frame_route_get(pfn)
+                if route is None:
+                    route = dram_route(pfn)
+                bases[vpn] = pfn << page_line_shift
+                page_routes[vpn] = page_route(
+                    links, route[1], route[2], route[0]
+                )
+            seg = [
+                bases[vpn] | ((va & page_mask) >> line_bits)
+                for vpn, va in zip(vpns, window)
+            ]
+            lines[i:end] = seg
+            l1i[i:end] = [
+                (x ^ (x >> l1_ib) ^ (x >> l1_ib2)) & l1_mask for x in seg
+            ]
+            l2i[i:end] = [
+                (x ^ (x >> l2_ib) ^ (x >> l2_ib2)) & l2_mask for x in seg
+            ]
+            lci[i:end] = [x & llc_mask for x in seg]
+            routes[i:end] = [page_routes[vpn] for vpn in vpns]
+            rows[i:end] = [x >> row_line_shift for x in seg]
+            return fault_ns, end
+
         states: dict[int, list] = {}
         heap: list[tuple[float, int]] = []
         for tidx in section.traces:
             plan = plans.get(tidx)
             if plan is None:
                 continue
+            n = len(plan[0])
+            stops = plan[12]
+            fault = None
+            if stops is not None:
+                fault = [
+                    0, stops, section.traces[tidx].vaddrs,
+                    threads[tidx], handles[tidx].task, plan[13],
+                    plan[0], plan[1], plan[2], plan[3], plan[6], plan[7],
+                ]
             # Mutable per-thread state: cursor, trace length, the plan's
-            # record lists, the core's set tables, and six event
-            # counters flushed into the shared metrics once per section.
+            # record lists, the core's set tables, six event counters
+            # flushed into the shared metrics once per section, the loop
+            # limit (next fault stop, else the trace length) and the
+            # fault-stop record (None for a fully planned trace).
             states[tidx] = [
-                0, len(plan[0]), plan[0], plan[1], plan[2], plan[3],
-                plan[4], plan[5], plan[6], plan[7], plan[8], plan[9],
-                plan[10], plan[11], plan[12], plan[13], plan[15],
-                plan[17], 0, 0, 0, 0, 0, 0,
+                0, n, plan[0], plan[1], plan[2], plan[3], plan[4],
+                plan[5], plan[6], plan[7], plan[9], plan[11],
+                0, 0, 0, 0, 0, 0,
+                n if stops is None else stops[0], fault,
             ]
             heapq.heappush(heap, (start, tidx))
         ends: dict[int, float] = {tidx: start for tidx in section.traces}
@@ -529,10 +688,9 @@ class Engine:
         while heap:
             clock, tidx = heap[0]
             state = states[tidx]
-            (i, n, lines, l1i, l2i, lci, writes, thinks, nds, chs, bcs,
-             rows, hops, props, occs, lkeys, l1_sets_c, l2_sets_c,
-             dram_n, remote_n, conflict_n, l1_miss_n, l2_hit_n,
-             l2_miss_n) = state
+            (i, n, lines, l1i, l2i, lci, writes, thinks, routes, rows,
+             l1_sets_c, l2_sets_c, dram_n, remote_n, conflict_n,
+             l1_miss_n, l2_hit_n, l2_miss_n, lim, fault) = state
             # Burst window.  The root is peeked, not popped; the heap
             # minimum *after* removing the root is the smaller of the
             # root's two children, so the horizon matches the reference
@@ -547,6 +705,12 @@ class Engine:
                 horizon = heap[1][0] + slack
             else:
                 horizon = inf
+            fault_ns = 0.0
+            if i == lim:
+                # Resumed at a fault stop it yielded on.
+                fault_ns, nxt = resolve(fault, i)
+                fault_clock = clock
+                lim = state[18] = i + 1 if fault_ns else nxt
 
             while True:
                 line = lines[i]
@@ -554,7 +718,7 @@ class Engine:
                 d = entries.pop(line, ABSENT)
                 if d is not ABSENT:
                     entries[line] = d or writes[i]
-                    clock += thinks[i] + l1_hit_t
+                    lat = l1_hit_t
                 else:
                     l1_miss_n += 1
                     is_w = writes[i]
@@ -584,7 +748,7 @@ class Engine:
                                         spill_insert(sset, old, clock)
                         else:
                             entries[line] = is_w
-                        clock += thinks[i] + l2_hit_t
+                        lat = l2_hit_t
                     else:
                         l2_miss_n += 1
                         llc_set = llc_sets[lci[i]]
@@ -597,83 +761,119 @@ class Engine:
                             # LLC miss -> DRAM (DramSystem.access inlined
                             # over the plan's precomputed route).
                             s_llc_misses += 1
-                            nd = nds[i]
-                            hp = hops[i]
-                            if hp:
-                                key = lkeys[nd]
-                                busy = link_busy_get(key, 0.0)
-                                lstart = busy if busy > clock else clock
-                                pr = props[i]
-                                link_busy[key] = lstart + occs[i]
-                                remote_tr_n += 1
-                                arrival = lstart + pr
+                            nd, ch, bc, hp, pr, occ, key = routes[i]
+                            if hp < 0 and line in (
+                                rset := rc_sets[nd][line & rc_mask]
+                            ):
+                                # DRAM-cache hit: a flat latency that is
+                                # a local row hit in the stats.
+                                del rset[line]
+                                rset[line] = None
+                                rc_hit_n[nd] += 1
+                                s_rc_hits += 1
+                                dram_lat = cache_hit_ns
+                                s_accesses += 1
+                                s_total_latency += dram_lat
+                                s_row_hits += 1
+                                s_local += 1
                             else:
-                                arrival = clock
-                            busy = ctrl_busy[nd]
-                            ctrl_start = arrival if arrival > busy else busy
-                            ctrl_busy[nd] = ctrl_start + ctrl_service
-                            after_ctrl = ctrl_start + ctrl_overhead
-                            ch = chs[i]
-                            busy = chan_busy[ch]
-                            chan_start = (
-                                after_ctrl if after_ctrl > busy else busy
-                            )
-                            chan_busy[ch] = chan_start + channel_service
-                            bc = bcs[i]
-                            busy = bank_busy[bc]
-                            bank_start = (
-                                chan_start if chan_start > busy else busy
-                            )
-                            epoch = int(bank_start // refresh_interval)
-                            row = rows[i]
-                            if epoch != bank_epoch[bc]:
-                                bank_epoch[bc] = epoch
-                                service = row_miss_ns
-                                bank_miss_n[bc] += 1
-                                s_row_misses += 1
-                            else:
-                                orow = bank_row[bc]
-                                if orow is None:
+                                if hp:
+                                    if hp > 0:
+                                        busy = link_busy_get(key, 0.0)
+                                        lstart = (
+                                            busy if busy > clock else clock
+                                        )
+                                        link_busy[key] = lstart + occ
+                                        remote_tr_n += 1
+                                        arrival = lstart + pr
+                                    else:
+                                        # DRAM-cache miss: queue on the
+                                        # node's network link.
+                                        rc_miss_n[nd] += 1
+                                        busy = net_busy[nd]
+                                        lstart = (
+                                            clock if clock > busy else busy
+                                        )
+                                        net_busy[nd] = lstart + net_service
+                                        arrival = lstart + net_ns
+                                else:
+                                    arrival = clock
+                                busy = ctrl_busy[nd]
+                                ctrl_start = (
+                                    arrival if arrival > busy else busy
+                                )
+                                ctrl_busy[nd] = ctrl_start + ctrl_service
+                                after_ctrl = ctrl_start + ctrl_overhead
+                                busy = chan_busy[ch]
+                                chan_start = (
+                                    after_ctrl if after_ctrl > busy else busy
+                                )
+                                chan_busy[ch] = chan_start + channel_service
+                                busy = bank_busy[bc]
+                                bank_start = (
+                                    chan_start if chan_start > busy else busy
+                                )
+                                epoch = int(bank_start // refresh_interval)
+                                row = rows[i]
+                                if epoch != bank_epoch[bc]:
+                                    bank_epoch[bc] = epoch
                                     service = row_miss_ns
                                     bank_miss_n[bc] += 1
                                     s_row_misses += 1
-                                elif orow == row:
-                                    service = row_hit_ns
-                                    bank_hit_n[bc] += 1
-                                    s_row_hits += 1
                                 else:
-                                    service = row_conflict_ns
-                                    bank_conf_n[bc] += 1
-                                    s_row_conflicts += 1
-                                    conflict_n += 1
-                            bank_row[bc] = row
-                            bank_busy[bc] = bank_start + (
-                                service + (write_recovery if is_w else 0.0)
-                            )
-                            if hp:
-                                done = bank_start + service + pr
-                                w_link = arrival - clock - pr
-                                if w_link < 0.0:
+                                    orow = bank_row[bc]
+                                    if orow is None:
+                                        service = row_miss_ns
+                                        bank_miss_n[bc] += 1
+                                        s_row_misses += 1
+                                    elif orow == row:
+                                        service = row_hit_ns
+                                        bank_hit_n[bc] += 1
+                                        s_row_hits += 1
+                                    else:
+                                        service = row_conflict_ns
+                                        bank_conf_n[bc] += 1
+                                        s_row_conflicts += 1
+                                        conflict_n += 1
+                                bank_row[bc] = row
+                                bank_busy[bc] = bank_start + (
+                                    service
+                                    + (write_recovery if is_w else 0.0)
+                                )
+                                if hp:
+                                    if hp > 0:
+                                        done = bank_start + service + pr
+                                        w_link = arrival - clock - pr
+                                        if w_link < 0.0:
+                                            w_link = 0.0
+                                    else:
+                                        # Install the fetched line in the
+                                        # DRAM cache (clean LRU eviction).
+                                        if len(rset) >= rc_ways:
+                                            del rset[next(iter(rset))]
+                                        rset[line] = None
+                                        done = bank_start + service + net_ns
+                                        w_link = lstart - clock
+                                        s_rc_misses += 1
+                                    remote_n += 1
+                                    s_remote += 1
+                                else:
+                                    done = bank_start + service + 0.0
                                     w_link = 0.0
-                                remote_n += 1
-                                s_remote += 1
-                            else:
-                                done = bank_start + service + 0.0
-                                w_link = 0.0
-                                s_local += 1
-                            dram_lat = done - clock
-                            w_ctrl = ctrl_start - arrival
-                            w_chan = chan_start - after_ctrl
-                            w_bank = bank_start - chan_start
-                            s_wait_link += w_link
-                            s_wait_ctrl += w_ctrl
-                            s_wait_chan += w_chan
-                            s_wait_bank += w_bank
-                            s_accesses += 1
-                            s_total_latency += dram_lat
-                            s_total_queue_wait += (
-                                w_link + w_ctrl + w_chan + w_bank
-                            )
+                                    s_local += 1
+                                dram_lat = done - clock
+                                w_ctrl = ctrl_start - arrival
+                                w_chan = chan_start - after_ctrl
+                                w_bank = bank_start - chan_start
+                                s_wait_link += w_link
+                                s_wait_ctrl += w_ctrl
+                                s_wait_chan += w_chan
+                                s_wait_bank += w_bank
+                                s_accesses += 1
+                                s_total_latency += dram_lat
+                                s_total_queue_wait += (
+                                    w_link + w_ctrl + w_chan + w_bank
+                                )
                             pn_n[nd] += 1
                             dram_n += 1
                             # LLC fill: evict the set's LRU line (dirty
@@ -718,23 +918,42 @@ class Engine:
                                         spill_insert(sset, old, clock)
                         else:
                             entries[line] = is_w
-                        clock += thinks[i] + lat
+                clock += thinks[i] + lat
 
                 i += 1
-                if i >= n:
-                    ends[tidx] = clock
-                    pop(heap)
-                    break
+                if i >= lim:
+                    if fault_ns:
+                        # The faulting access (i - 1) ends at
+                        # clock + ((think + lat) + fault_ns), exactly as
+                        # in the reference loop.
+                        clock = fault_clock + ((thinks[i - 1] + lat) + fault_ns)
+                        fault_ns = 0.0
+                        lim = state[18] = nxt
+                    if i >= n:
+                        ends[tidx] = clock
+                        pop(heap)
+                        break
+                    if i == lim:
+                        # Fault stop: the horizon check comes first, so
+                        # the fault happens in merge order.
+                        if clock > horizon:
+                            state[0] = i
+                            replace(heap, (clock, tidx))
+                            break
+                        fault_ns, nxt = resolve(fault, i)
+                        fault_clock = clock
+                        lim = state[18] = i + 1 if fault_ns else nxt
+                        continue
                 if clock > horizon:
                     state[0] = i
                     replace(heap, (clock, tidx))
                     break
-            state[18] = dram_n
-            state[19] = remote_n
-            state[20] = conflict_n
-            state[21] = l1_miss_n
-            state[22] = l2_hit_n
-            state[23] = l2_miss_n
+            state[12] = dram_n
+            state[13] = remote_n
+            state[14] = conflict_n
+            state[15] = l1_miss_n
+            state[16] = l2_hit_n
+            state[17] = l2_miss_n
 
         # Flush per-thread event counters into the shared metrics
         # objects (pure integer sums, so a single end-of-section flush
@@ -744,17 +963,17 @@ class Engine:
             plan = plans[tidx]
             tm = threads[tidx]
             n = state[1]
-            l1_miss_n = state[21]
+            l1_miss_n = state[15]
             tm.accesses += n
-            tm.dram_accesses += state[18]
-            tm.remote_accesses += state[19]
-            tm.row_conflicts += state[20]
-            l1_cache = plan[14]
+            tm.dram_accesses += state[12]
+            tm.remote_accesses += state[13]
+            tm.row_conflicts += state[14]
+            l1_cache = plan[8]
             l1_cache.hits += n - l1_miss_n
             l1_cache.misses += l1_miss_n
-            l2_cache = plan[16]
-            l2_cache.hits += state[22]
-            l2_cache.misses += state[23]
+            l2_cache = plan[10]
+            l2_cache.hits += state[16]
+            l2_cache.misses += state[17]
 
         # Store the section-local mirrors back into the shared objects.
         llc.hits = s_llc_hits
@@ -772,8 +991,14 @@ class Engine:
         stats.remote_accesses = s_remote
         stats.local_accesses = s_local
         stats.writebacks = s_writebacks
+        stats.remote_cache_hits = s_rc_hits
+        stats.remote_cache_misses = s_rc_misses
         hierarchy.dirty_evictions = de_n
         ic.remote_transfers = remote_tr_n
+        for nd, cache in remote_caches.items():
+            cache.hits = rc_hit_n[nd]
+            cache.misses = rc_miss_n[nd]
+            dram._net_busy[nd] = net_busy[nd]
         per_node_get = per_node.get
         for ndx, cnt in enumerate(pn_n):
             if cnt:
@@ -802,7 +1027,7 @@ class Engine:
         batched loop reproduces its :class:`RunMetrics` bit-for-bit, and
         ``benchmarks/perf_baseline.py`` measures the fast path's speedup
         against it — and it runs every section the batched loop cannot
-        plan: demand faults, prefetch ablation, a remote DRAM-cache tier.
+        plan: prefetch ablation and a degenerate row layout.
 
         With an enabled observer it also carries the tracing hooks: the
         observer's sim-time cursor before a fault (so kernel events carry
