@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.dram.bank import Bank, RowKind
 from repro.dram.interconnect import Interconnect
 from repro.dram.remote import RemoteCache, RemoteTier
@@ -203,13 +205,15 @@ class DramSystem:
         self._chan_busy = [0.0] * (mapping.num_nodes * mapping.num_channels)
         self.interconnect = Interconnect(topology, timing)
         self.stats = DramStats()
-        # Hot-path decode memo: pfn -> (bank_color, node, channel index,
-        # Bank object), built lazily on top of the mapping's per-frame
-        # decode cache (:meth:`AddressMapping.frame_decode`).  Decoding
-        # happens once per *touched* frame, not once per access, and the
-        # memo survives :meth:`reset` because the mapping is immutable
-        # and the Bank objects are reused.
+        # Hot-path route memo: pfn -> (bank_color, node, channel index,
+        # Bank object), filled once per *touched* frame from the mapping's
+        # shared per-frame bank colors (:meth:`AddressMapping.
+        # frame_colors`, the same array the kernel's frame pool reads).
+        # It survives :meth:`reset` because the mapping is immutable and
+        # the Bank objects are reused.
         self._frame_route: dict[int, tuple[int, int, int, Bank]] = {}
+        self._bank_colors = mapping.frame_colors()[0]
+        self._num_frames = mapping.num_frames
         self._colors_per_node = mapping.bank_colors_per_node
         self._banks_per_channel = mapping.num_ranks * mapping.num_banks
         self._page_bits = mapping.page_bits
@@ -241,12 +245,17 @@ class DramSystem:
         self._register_counters(observer)
 
     def _route(self, pfn: int) -> tuple[int, int, int, Bank]:
-        """Memoized routing of a frame: (bank color, node, channel, bank)."""
-        decoded = self.mapping.frame_decode(pfn)
-        bank_color = decoded.bank_color
+        """Memoized routing of a frame: (bank color, node, channel, bank).
+
+        The node and the global channel-bus index are the bank color's
+        mixed-radix prefixes (Eq. 1), so one table read routes the frame.
+        """
+        if not 0 <= pfn < self._num_frames:
+            raise ValueError(f"frame {pfn} outside physical memory")
+        bank_color = int(self._bank_colors[pfn])
         route = (
             bank_color,
-            decoded.node,
+            bank_color // self._colors_per_node,
             bank_color // self._banks_per_channel,
             self.banks[bank_color],
         )
@@ -256,24 +265,36 @@ class DramSystem:
     def route_batch(self, pfns):
         """Vectorised :meth:`_route` over an array of frame numbers.
 
-        Decodes every frame with :meth:`AddressMapping.decode_batch` and
-        returns ``(bank_color, node, channel)`` as three int64 arrays
-        aligned with ``pfns`` — element ``i`` equals the first three slots
-        of ``_route(pfns[i])``.  The channel is the global channel-bus
-        index (``node * num_channels + channel``), i.e. a direct index
-        into the per-machine channel occupancy table.  Pure and
-        memo-free: the engine's batched replay path routes the unique
-        frames of a section once, instead of one memo lookup per access.
+        Gathers every frame's bank color from the mapping's shared
+        per-frame table and derives the node and the global channel-bus
+        index (``node * num_channels + channel``, a direct index into the
+        per-machine channel occupancy table) by integer division, as
+        :meth:`_route` does.  Returns ``(bank_color, node, channel)`` as
+        three int64 arrays aligned with ``pfns`` — element ``i`` equals
+        the first three slots of ``_route(pfns[i])``.  Memo-free: the
+        engine's batched replay path routes the unique frames of a trace
+        once per plan, instead of one memo lookup per access.
 
         Args:
             pfns: integer array of page frame numbers (may be empty).
 
         Returns:
             Tuple of int64 arrays ``(bank_color, node, channel)``.
+
+        Raises:
+            ValueError: if any frame number lies outside physical memory.
         """
-        decoded = self.mapping.decode_batch(pfns)
-        bank_color = decoded.bank_color
-        return bank_color, decoded.node, bank_color // self._banks_per_channel
+        pfns = np.asarray(pfns, dtype=np.int64)
+        if pfns.size and (
+            int(pfns.min()) < 0 or int(pfns.max()) >= self._num_frames
+        ):
+            raise ValueError("frame number outside physical memory")
+        bank_color = self._bank_colors[pfns].astype(np.int64)
+        return (
+            bank_color,
+            bank_color // self._colors_per_node,
+            bank_color // self._banks_per_channel,
+        )
 
     def _register_counters(self, obs: BaseObserver) -> None:
         """Expose aggregate stats and controller occupancy as counters.

@@ -1,8 +1,11 @@
 """Physical frame pool: per-frame colors and allocation state.
 
-The pool precomputes every frame's bank color (Eq. 1) and LLC color once
-from the address mapping — the analogue of the per-``struct page`` color
-fields the paper's kernel derives from PCI registers at boot.
+Every frame's bank color (Eq. 1) and LLC color — the analogue of the
+per-``struct page`` color fields the paper's kernel derives from PCI
+registers at boot — come from the mapping's shared, read-only color
+arrays (:meth:`~repro.machine.address.AddressMapping.frame_colors`),
+derived once per mapping value rather than once per boot.  The pool
+owns only the mutable per-frame state and owner arrays.
 """
 
 from __future__ import annotations
@@ -54,11 +57,11 @@ class FramePool:
             )
         self.mapping = mapping
         self.num_frames = mapping.num_frames
-        bank, llc = mapping.frame_color_table()
-        #: bank color (Eq. 1) per frame, int16 (<= 2**15 colors).
-        self.bank_color: np.ndarray = bank.astype(np.int16)
-        #: LLC color per frame.
-        self.llc_color: np.ndarray = llc.astype(np.int16)
+        bank, llc = mapping.frame_colors()
+        #: bank color (Eq. 1) per frame, int16; shared and read-only.
+        self.bank_color: np.ndarray = bank
+        #: LLC color per frame, int16; shared and read-only.
+        self.llc_color: np.ndarray = llc
         #: FrameState per frame.
         self.state: np.ndarray = np.full(
             self.num_frames, FrameState.BUDDY, dtype=np.int8

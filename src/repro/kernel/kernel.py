@@ -180,11 +180,12 @@ class Kernel:
         falling back to the task id) simulates the syscall's ENOMEM path
         with a typed :class:`~repro.faultline.faults.InjectedMmapError`.
         """
-        scope = label or f"t{task.tid}"
-        if _fault_hooks.should_fire("kernel.mmap.fail", scope):
-            raise InjectedMmapError(
-                "kernel.mmap.fail", scope, "simulated mmap ENOMEM"
-            )
+        if _fault_hooks.active() is not None:
+            scope = label or f"t{task.tid}"
+            if _fault_hooks.should_fire("kernel.mmap.fail", scope):
+                raise InjectedMmapError(
+                    "kernel.mmap.fail", scope, "simulated mmap ENOMEM"
+                )
         if length == 0 and (prot & mmapi.COLOR_ALLOC):
             mode, color = mmapi.decode_directive(addr)
             if mode == mmapi.MODE_SET_MEM:

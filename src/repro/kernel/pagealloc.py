@@ -85,7 +85,7 @@ class PageAllocator:
         returning None here, so the kernel's real
         ``OutOfMemory``/``OutOfColoredMemory`` handling is what runs.
         """
-        if _fault_hooks.should_fire(
+        if _fault_hooks.active() is not None and _fault_hooks.should_fire(
             "kernel.pagealloc.exhaust", f"t{task.tid}#a{task.pages_allocated}"
         ):
             self.failed_colored += task.colored

@@ -22,12 +22,13 @@ LLC color slice may overlap them (caches index independently of DRAM).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.util.intmath import mask
 
 #: Decode order used by the controller and by Eq. (1)'s mixed radix.
 DRAM_FIELDS = ("node", "channel", "rank", "bank")
@@ -56,8 +57,9 @@ class DecodedAddress:
     frame_colors_invariant`), so *node, channel, rank, bank, bank color,
     LLC color* are properties of the frame, not of the byte address.
     :meth:`AddressMapping.frame_decode` computes this object once per
-    frame and memoizes it; the cache hierarchy and DRAM system then pay a
-    single dict lookup per access instead of re-gathering scattered bits.
+    frame and memoizes it.  (The simulator's own routing reads the shared
+    per-frame color table, :meth:`AddressMapping.frame_colors`; the full
+    decode is the reference that table is tested against.)
 
     Attributes:
         pfn: page frame number this decode belongs to.
@@ -133,9 +135,30 @@ class DecodedBatch:
         return f"DecodedBatch(n={len(self.pfns)})"
 
 
-def _field_extractor(positions: tuple[int, ...]):
-    """Build masks/shifts to gather scattered bit ``positions`` (LSB-first)."""
-    return tuple((1 << p, p, i) for i, p in enumerate(positions))
+# Tables the store keeps at once (two per mapping value: frame colors
+# and color compatibility), least recently used evicted first.
+_TABLE_STORE_SIZE = 16
+
+# (table kind, AddressMapping._table_key) -> read-only derived table.
+_TABLE_STORE: OrderedDict[tuple, tuple] = OrderedDict()
+# Builds happen under the lock too: two threads booting equal mappings
+# get one table, not two.
+_TABLE_STORE_LOCK = threading.Lock()
+
+
+def _shared_table(mapping: "AddressMapping", kind: str, build: Callable[[], tuple]):
+    """The store's ``kind`` table for ``mapping``'s value, built on a miss."""
+    key = (kind, mapping._table_key)
+    with _TABLE_STORE_LOCK:
+        table = _TABLE_STORE.get(key)
+        if table is None:
+            table = build()
+            _TABLE_STORE[key] = table
+            if len(_TABLE_STORE) > _TABLE_STORE_SIZE:
+                _TABLE_STORE.popitem(last=False)
+        else:
+            _TABLE_STORE.move_to_end(key)
+        return table
 
 
 @dataclass(frozen=True)
@@ -152,6 +175,19 @@ class AddressMapping:
         row_bits_start: physical bit where the DRAM row number begins; bits
             from there up to ``total_bits`` (excluding any field bits) form
             the row.  Rows only matter for row-buffer hit/miss decisions.
+
+    Derived counts, computed once per instance (plain attributes, so hot
+    callers such as the color-directive range check pay one lookup):
+
+    * ``num_nodes``, ``num_channels``, ``num_ranks``, ``num_banks`` —
+      memory nodes, channels per node, ranks per channel, banks per rank
+      (``2**width`` of each DRAM field).
+    * ``num_bank_colors`` — nodes*channels*ranks*banks (128 on Opteron).
+    * ``bank_colors_per_node`` — channels*ranks*banks.
+    * ``num_llc_colors`` — ``2**len(llc_color_positions)``.
+    * ``page_bytes``, ``line_bytes``, ``memory_bytes`` — page size, cache
+      line size and total physical memory, in bytes.
+    * ``num_frames`` — order-0 page frames in physical memory.
     """
 
     total_bits: int
@@ -181,76 +217,44 @@ class AddressMapping:
         # Row: bits above the highest field bit, by default.
         start = self.row_bits_start or (max(seen) + 1 if seen else self.page_bits)
         object.__setattr__(self, "row_bits_start", start)
+        nodes, channels, ranks, banks = (
+            1 << len(self.fields[name]) for name in DRAM_FIELDS
+        )
+        for name, value in (
+            ("num_nodes", nodes),
+            ("num_channels", channels),
+            ("num_ranks", ranks),
+            ("num_banks", banks),
+            ("num_bank_colors", nodes * channels * ranks * banks),
+            ("bank_colors_per_node", channels * ranks * banks),
+            ("num_llc_colors", 1 << len(self.llc_color_positions)),
+            ("page_bytes", 1 << self.page_bits),
+            ("line_bytes", 1 << self.line_bits),
+            ("memory_bytes", 1 << self.total_bits),
+            ("num_frames", 1 << (self.total_bits - self.page_bits)),
+        ):
+            object.__setattr__(self, name, value)
+        # Key of the shared table store: everything the frame colors and
+        # the compatibility table depend on, so equal mappings (a preset
+        # built twice, the copy re-derived by the PCI probe) share them.
+        object.__setattr__(self, "_table_key", (
+            self.total_bits, self.page_bits,
+            tuple(tuple(self.fields[name]) for name in DRAM_FIELDS),
+            tuple(self.llc_color_positions),
+        ))
         # Per-instance frame-decode memo (pfn -> DecodedAddress).  The
         # mapping itself is immutable, so entries never go stale for this
         # instance; a *different* mapping is a different object with its
         # own, initially empty cache.
         object.__setattr__(self, "_frame_decode_cache", {})
-        # Color-compatibility table and its per-bank-color rows, built on
-        # first use (see color_compat_table).
+        # This instance's reference to the shared color-compatibility
+        # table and its per-bank-color rows (see color_compat_table).
         object.__setattr__(self, "_color_compat", None)
 
     # --- widths / counts ------------------------------------------------------
     def field_width(self, name: str) -> int:
         """Number of address bits backing *name* ("node", "channel", ...)."""
         return len(self.fields[name])
-
-    @property
-    def num_nodes(self) -> int:
-        """Memory nodes (NUMA domains) addressable by the node bits."""
-        return 1 << self.field_width("node")
-
-    @property
-    def num_channels(self) -> int:
-        """Memory channels per node."""
-        return 1 << self.field_width("channel")
-
-    @property
-    def num_ranks(self) -> int:
-        """Ranks per channel."""
-        return 1 << self.field_width("rank")
-
-    @property
-    def num_banks(self) -> int:
-        """Banks per rank (each with one open-row buffer)."""
-        return 1 << self.field_width("bank")
-
-    @property
-    def num_bank_colors(self) -> int:
-        """Total bank colors = nodes*channels*ranks*banks (128 on Opteron)."""
-        return (
-            self.num_nodes * self.num_channels * self.num_ranks * self.num_banks
-        )
-
-    @property
-    def num_llc_colors(self) -> int:
-        """Distinct LLC colors (one per combination of set-index page bits)."""
-        return 1 << len(self.llc_color_positions)
-
-    @property
-    def bank_colors_per_node(self) -> int:
-        """Bank colors owned by one node (channels * ranks * banks)."""
-        return self.num_channels * self.num_ranks * self.num_banks
-
-    @property
-    def page_bytes(self) -> int:
-        """Page size in bytes."""
-        return 1 << self.page_bits
-
-    @property
-    def line_bytes(self) -> int:
-        """Cache-line size in bytes."""
-        return 1 << self.line_bits
-
-    @property
-    def memory_bytes(self) -> int:
-        """Total physical memory covered by the address map."""
-        return 1 << self.total_bits
-
-    @property
-    def num_frames(self) -> int:
-        """Total order-0 page frames in physical memory."""
-        return 1 << (self.total_bits - self.page_bits)
 
     # --- scalar decode ---------------------------------------------------------
     def extract(self, paddr: int, name: str) -> int:
@@ -342,17 +346,21 @@ class AddressMapping:
         where bank bits 15/16 lie inside LLC color bits 12-16), the two
         colors must agree on the shared bits; pairs that disagree have no
         physical frames, leaving the 128 x 32 color matrix structurally
-        sparse.  Built once per mapping from the shared bits alone (never
-        from the frame table) and memoised; read-only.
+        sparse.  Built from the shared bits alone (never from the frame
+        table), once per mapping value (see :meth:`frame_colors`); read-only.
         """
         return self._compat()[0]
 
     def _compat(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
         """Memoised (compatibility table, compatible LLC colors per bank
-        color)."""
+        color), shared through the table store by equal mappings."""
         memo = self._color_compat
-        if memo is not None:
-            return memo
+        if memo is None:
+            memo = _shared_table(self, "compat", self._build_compat)
+            object.__setattr__(self, "_color_compat", memo)
+        return memo
+
+    def _build_compat(self) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
         bank_colors = np.arange(self.num_bank_colors, dtype=np.int64)
         llc_colors = np.arange(self.num_llc_colors, dtype=np.int64)
         # Split bank colors into fields, as split_bank_color does.
@@ -379,9 +387,7 @@ class AddressMapping:
         rows = tuple(
             tuple(llcs[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)
         )
-        memo = (table, rows)
-        object.__setattr__(self, "_color_compat", memo)
-        return memo
+        return table, rows
 
     def colors_compatible(self, bank_color: int, llc_color: int) -> bool:
         """Whether any frame carries both ``bank_color`` and ``llc_color``
@@ -562,15 +568,45 @@ class AddressMapping:
         """Vectorised :meth:`llc_color` over an int64 address array."""
         return self._gather_vec(paddrs, self.llc_color_positions)
 
-    def frame_color_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Precompute (bank_color, llc_color) for every frame in memory.
+    def frame_colors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The shared (bank color, LLC color) of every frame in memory.
 
-        Returns two int64 arrays of length :attr:`num_frames`; the kernel
-        indexes these instead of decoding per allocation.
+        Two read-only arrays of length ``num_frames`` (int16, or int32
+        when a color count exceeds ``2**15``), element ``pfn`` equal to
+        ``frame_decode(pfn)``'s colors.  They are derived once per mapping
+        *value* and kept in a small module-level store, so every equal
+        mapping — each run's freshly built preset, the copy the kernel
+        re-derives from the PCI registers — gets the same two array
+        objects: the kernel's frame pool indexes them instead of decoding
+        at boot, and :class:`repro.dram.system.DramSystem` routes frames
+        from the bank colors.  The store keeps the 16 most recently used
+        tables; the color-compatibility table (:meth:`color_compat_table`)
+        lives there too.
         """
-        pfns = np.arange(self.num_frames, dtype=np.int64)
-        paddrs = pfns << self.page_bits
-        return self.bank_color_vec(paddrs), self.llc_color_vec(paddrs)
+        return _shared_table(self, "frame_colors", self._build_frame_colors)
+
+    def _build_frame_colors(self) -> tuple[np.ndarray, np.ndarray]:
+        big = max(self.num_bank_colors, self.num_llc_colors) > 1 << 15
+        dtype = np.int32 if big else np.int16
+        bank = np.empty(self.num_frames, dtype=dtype)
+        llc = np.empty(self.num_frames, dtype=dtype)
+        # Chunked, so the int64 temporaries stay small on large memories.
+        step = 1 << 16
+        for lo in range(0, self.num_frames, step):
+            hi = min(lo + step, self.num_frames)
+            paddrs = np.arange(lo, hi, dtype=np.int64) << self.page_bits
+            bank[lo:hi] = self.bank_color_vec(paddrs)
+            llc[lo:hi] = self.llc_color_vec(paddrs)
+        bank.flags.writeable = False
+        llc.flags.writeable = False
+        return bank, llc
+
+    def frame_color_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bank_color, llc_color) for every frame in memory, as two
+        private int64 arrays of length ``num_frames`` (writeable copies
+        of :meth:`frame_colors`)."""
+        bank, llc = self.frame_colors()
+        return bank.astype(np.int64), llc.astype(np.int64)
 
     # --- compose -------------------------------------------------------------
     def compose(

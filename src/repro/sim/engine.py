@@ -240,9 +240,9 @@ class Engine:
 
         1. :meth:`_batch_plan` vectorises all *stateless* per-access
            work for the whole section with numpy — address translation
-           (unique-page gather), physical line construction, DRAM route
-           decode (:meth:`AddressMapping.decode_batch` via
-           :meth:`DramSystem.route_batch`), row numbers, interconnect
+           (unique-page gather), physical line construction, DRAM
+           routes (:meth:`DramSystem.route_batch`, a gather from the
+           mapping's shared frame-color table), row numbers, interconnect
            constants, and every cache set index
            (:func:`repro.cache.batch.set_index_batch`).  A trace that
            touches unmapped pages is planned up to its first fault

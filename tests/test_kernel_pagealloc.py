@@ -157,3 +157,24 @@ class TestFreePath:
         for out in outs:
             alloc.free_pages(task, out.pfn, 0)
         assert alloc.free_frames_total() == total
+
+
+def test_disarmed_faultline_is_never_consulted(tiny, alloc, monkeypatch):
+    """With injection off, the kernel's hook points format no scope and
+    never call into the injector (``alloc_pages`` and ``sys_mmap``)."""
+    from repro.faultline import hooks
+    from repro.kernel.kernel import Kernel
+    from repro.kernel.mmapi import COLOR_ALLOC, PROT_RW, set_mem_color
+
+    assert hooks.active() is None
+
+    def consulted(site, scope):
+        raise AssertionError(f"should_fire({site!r}, {scope!r}) while disarmed")
+
+    monkeypatch.setattr(hooks, "should_fire", consulted)
+    assert alloc.alloc_pages(colored_task(tiny, mem=[0])) is not None
+    assert alloc.alloc_pages(TaskStruct(tid=2, core=0)) is not None
+    kernel = Kernel(tiny)
+    task = kernel.create_task(kernel.create_process(), core=0)
+    assert kernel.sys_mmap(task, set_mem_color(0), 0, PROT_RW | COLOR_ALLOC) == 0
+    assert kernel.sys_mmap(task, 0, 4 * 4096, PROT_RW, label="heap").length == 4 * 4096
