@@ -30,8 +30,9 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 class TestFaultRuleValidation:
     def test_unknown_site_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault site"):
-            FaultRule(site="store.get.iomsipelled")
+        for site in ("store.get.iomsipelled", "fleet.worker.kill"):
+            with pytest.raises(ValueError, match="unknown fault site"):
+                FaultRule(site=site)
 
     def test_probability_bounds_enforced(self):
         with pytest.raises(ValueError, match="probability"):

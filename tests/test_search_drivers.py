@@ -30,6 +30,7 @@ from repro.search.report import (
     verdict_vs_baseline,
 )
 from repro.search.space import SearchSpace
+from repro.search.tune import main as tune_main
 from repro.service.client import ServiceClient
 
 SETTINGS = SearchSettings(
@@ -173,3 +174,15 @@ class TestFaultSurvival:
         outcomes = {e["outcome"] for e in out.log if e["event"] == "eval"}
         assert "error" in outcomes
         assert out.evaluations > 0
+
+
+class TestTuneCli:
+    @pytest.mark.parametrize("argv", [
+        ["--executor", "fleet"],
+        ["--executor", "process", "--workers", "2"],
+    ])
+    def test_removed_choices_are_argparse_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            tune_main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err

@@ -54,6 +54,19 @@ class TestDigest:
         assert scaled.identity()["machine"] != mini.identity()["machine"]
         assert scaled.digest() != mini.digest()
 
+    @pytest.mark.parametrize("spec, digest", [
+        (JobSpec(bench="lbm", policy="mem+llc", config="16_threads_4_nodes",
+                 profile="mini"),
+         "5742e4d895ff40a118df8f8cdf623e92102b5912ea754229e21c1ab25728feb3"),
+        (JobSpec(kind="synthetic", bench="synthetic", policy="buddy",
+                 config="4_threads_4_nodes", profile="mini", rep=1),
+         "626d0f842b2e6871d98682b0fdd4f4b3e7aa9273a0553c1f58142998fe9c8b58"),
+    ])
+    def test_pinned_digests(self, spec, digest):
+        """Digests of stored records never drift, so warm stores keep
+        hitting across code changes that leave results alone."""
+        assert spec.digest() == digest
+
 
 class TestRoundTrip:
     def test_json_round_trip_through_wire_format(self):
@@ -103,8 +116,9 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            JobSpec(kind="nonsense")
+        for kind in ("nonsense", "sleep"):
+            with pytest.raises(ValueError, match="unknown job kind"):
+                JobSpec(kind=kind)
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError):

@@ -60,6 +60,13 @@ def crash_once_runner(s: JobSpec) -> dict:
     return {"bench": s.bench, "seed": s.seed, "recovered": True}
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("executor", ["fleet", "nonsense"])
+    def test_unknown_executor_rejected(self, executor):
+        with pytest.raises(ValueError, match="unknown executor"):
+            Scheduler(executor=executor)
+
+
 class TestHappyPath:
     def test_inline_completes_and_counts(self):
         with Scheduler(executor="inline", runner=ok_runner) as sched:
